@@ -36,7 +36,6 @@ from .extremal import (
 from .oracle import Report, brute_force_sat, check_all
 from .rank_enum import (
     coefficient_tuples,
-    diophantine_solutions,
     enumerate_rank,
     feasible_rank,
     is_sat_sequence,
@@ -54,16 +53,13 @@ from .satsets import (
 )
 from .semigroup import AperyTable, NumericalSemigroup, ordinary
 from .tree import (
-    TreeNode,
     chain,
-    child_candidates,
     child_msg,
     enumerate_sat,
     enumerate_sat_genus,
     extension_is_saturated,
     iter_layers,
     iter_sat,
-    make_node,
     special_gaps_from_msg,
 )
 
@@ -86,17 +82,14 @@ __all__ = [
     "SatFSet",
     "SemigroupError",
     "TooLarge",
-    "TreeNode",
     "WouldChangeFrobenius",
     "WrongFrobenius",
     "brute_force_sat",
     "chain",
     "check_all",
-    "child_candidates",
     "child_msg",
     "closure",
     "coefficient_tuples",
-    "diophantine_solutions",
     "enumerate_rank",
     "enumerate_sat",
     "enumerate_sat_genus",
@@ -109,7 +102,6 @@ __all__ = [
     "iter_sat",
     "least_non_divisor",
     "list_sequences",
-    "make_node",
     "maximal_elements",
     "min_genus",
     "minimal_non_divisors",

@@ -19,7 +19,7 @@ from typing import Iterable
 
 from .errors import SemigroupError
 from .extremal import maximal_elements, min_genus
-from .oracle import check_all
+from .oracle import check_all, refuse_above_limit
 from .rank_enum import enumerate_rank, feasible_rank
 from .satsets import closure, minimal_system
 from .semigroup import NumericalSemigroup
@@ -124,10 +124,24 @@ def _int_list(text: str) -> list[int]:
         ) from None
 
 
+def _int_at_least(low: int):
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+
+    parse.__name__ = "int"  # argparse names the type in "invalid int value"
+    return parse
+
+
+_positive = _int_at_least(1)
+_nonnegative = _int_at_least(0)
+
+
 def _cmd_enumerate(args: argparse.Namespace) -> int:
-    nodes = iter_sat(args.frobenius, jobs=args.jobs)
     _emit_semigroups(
-        (node.semigroup for node in nodes), args.format, stream=args.stream
+        iter_sat(args.frobenius, jobs=args.jobs), args.format, stream=args.stream
     )
     return 0
 
@@ -197,6 +211,7 @@ def _cmd_feasible(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
+    refuse_above_limit(args.max_frobenius)
     reports = [
         check_all(f, jobs=args.jobs)
         for f in range(1, args.max_frobenius + 1)
@@ -240,7 +255,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="output format (default: text)",
     )
     common.add_argument(
-        "--jobs", type=int, default=1,
+        "--jobs", type=_positive, default=1,
         help="worker processes for enumeration (default: 1)",
     )
     common.add_argument(
@@ -253,7 +268,7 @@ def build_parser() -> argparse.ArgumentParser:
         "enumerate", parents=[common],
         help="all saturated semigroups with Frobenius number F",
     )
-    p.add_argument("--frobenius", type=int, required=True, metavar="F")
+    p.add_argument("--frobenius", type=_positive, required=True, metavar="F")
     p.add_argument(
         "--stream", action="store_true",
         help="emit each layer as computed and skip the count footer",
@@ -263,20 +278,20 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "genus", parents=[common], help="the members with a fixed genus"
     )
-    p.add_argument("--frobenius", type=int, required=True, metavar="F")
+    p.add_argument("--frobenius", type=_positive, required=True, metavar="F")
     p.add_argument("--genus", type=int, required=True, metavar="G")
     p.set_defaults(run=_cmd_genus)
 
     p = sub.add_parser(
         "maximal", parents=[common], help="the inclusion-maximal members"
     )
-    p.add_argument("--frobenius", type=int, required=True, metavar="F")
+    p.add_argument("--frobenius", type=_positive, required=True, metavar="F")
     p.set_defaults(run=_cmd_maximal)
 
     p = sub.add_parser(
         "min-genus", parents=[common], help="the least genus in the family"
     )
-    p.add_argument("--frobenius", type=int, required=True, metavar="F")
+    p.add_argument("--frobenius", type=_positive, required=True, metavar="F")
     p.set_defaults(run=_cmd_min_genus)
 
     p = sub.add_parser(
@@ -304,16 +319,16 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "rank", parents=[common], help="the members with a fixed rank"
     )
-    p.add_argument("--frobenius", type=int, required=True, metavar="F")
-    p.add_argument("--rank", type=int, required=True, metavar="P")
+    p.add_argument("--frobenius", type=_positive, required=True, metavar="F")
+    p.add_argument("--rank", type=_nonnegative, required=True, metavar="P")
     p.set_defaults(run=_cmd_rank)
 
     p = sub.add_parser(
         "feasible", parents=[common],
         help="whether any member has the given rank",
     )
-    p.add_argument("--frobenius", type=int, required=True, metavar="F")
-    p.add_argument("--rank", type=int, required=True, metavar="P")
+    p.add_argument("--frobenius", type=_positive, required=True, metavar="F")
+    p.add_argument("--rank", type=_nonnegative, required=True, metavar="P")
     p.set_defaults(run=_cmd_feasible)
 
     p = sub.add_parser(

@@ -69,6 +69,12 @@ def _saturated_multiples(mask, frobenius, members, gcds) -> bool:
     return True
 
 
+def refuse_above_limit(frobenius: int) -> None:
+    """Raise TooLarge when the subset search at this F is not practical."""
+    if frobenius > BRUTE_FORCE_LIMIT:
+        raise TooLarge(f"subset search above F={BRUTE_FORCE_LIMIT} is not practical")
+
+
 def brute_force_sat(frobenius: int) -> list[NumericalSemigroup]:
     """Every saturated semigroup with this Frobenius number, by subset search.
 
@@ -77,8 +83,7 @@ def brute_force_sat(frobenius: int) -> list[NumericalSemigroup]:
     """
     if frobenius < 1:
         raise ValueError("frobenius must be >= 1")
-    if frobenius > BRUTE_FORCE_LIMIT:
-        raise TooLarge(f"subset search above F={BRUTE_FORCE_LIMIT} is not practical")
+    refuse_above_limit(frobenius)
     base = 1 | (1 << (frobenius + 1))
     found = []
     for bits in range(1 << max(0, frobenius - 1)):

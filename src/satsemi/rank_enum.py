@@ -8,11 +8,14 @@ t1..tp subject to t1*d1 + .. + tp*dp < F and
 gcd(d_i / d_{i+1}, t_{i+1}) = 1, produces the minimal system
 {d1, t1*d1 + t2*d2, .., t1*d1 + .. + tp*dp}.
 
-Enumerating all chains with entry sum below F, and per chain all
-coefficient tuples via a bounded linear Diophantine solve, therefore
-yields every rank-p member.  Distinct witnesses can repeat a semigroup
-(a larger t1 can trade against a smaller t2 for the same partial sums),
-so results are deduplicated on the canonical bitmap.
+Distinct witnesses can give the same semigroup (a larger t1 can trade
+against a smaller t2 for the same partial sums), but those with t1 = 1
+are in bijection with the rank-p members: a member's minimal system
+forces n1 = d1 and then each t_i = (n_i - n_{i-1}) / d_i.  Enumerating
+all chains with entry sum below F, and per chain the coefficient tuples
+with t1 = 1, therefore lists every rank-p member exactly once, and its
+small elements follow from the minimal system as the progressions
+n_i, n_i + d_i, .. below n_{i+1}.
 """
 
 from __future__ import annotations
@@ -23,13 +26,12 @@ from typing import Sequence
 from .errors import NotASatSequence
 from .extremal import least_non_divisor
 from .satsets import closure
-from .semigroup import NumericalSemigroup, ordinary
+from .semigroup import NumericalSemigroup, ordinary, sort_masks
 
 __all__ = [
     "is_sat_sequence",
     "list_sequences",
     "feasible_rank",
-    "diophantine_solutions",
     "coefficient_tuples",
     "witness_generators",
     "witness_to_semigroup",
@@ -91,64 +93,38 @@ def feasible_rank(frobenius: int, p: int) -> bool:
     return least_non_divisor(frobenius) * ((1 << p) - 1) < frobenius
 
 
-def diophantine_solutions(
-    coeffs: Sequence[int], target: int
-) -> list[tuple[int, ...]]:
-    """Nonnegative integer solutions of sum(c_i * x_i) = target, in
-    lexicographically ascending order."""
-    cs = tuple(coeffs)
-    if not cs or any(c < 1 for c in cs):
-        raise ValueError("coefficients must be positive")
-    if target < 0:
-        return []
-    out: list[tuple[int, ...]] = []
-    xs = [0] * len(cs)
-    last = len(cs) - 1
-
-    def rec(i: int, rem: int) -> None:
-        if i == last:
-            q, r = divmod(rem, cs[i])
-            if not r:
-                xs[i] = q
-                out.append(tuple(xs))
-            return
-        for v in range(rem // cs[i] + 1):
-            xs[i] = v
-            rec(i + 1, rem - v * cs[i])
-
-    rec(0, target)
-    return out
-
-
 def coefficient_tuples(
     frobenius: int, ds: Sequence[int]
 ) -> list[tuple[int, ...]]:
     """All coefficient tuples pairing with the chain, ascending.
 
     Positive tuples t with sum(t_i * d_i) < F whose entries after the
-    first are coprime to the preceding divisor ratio.  Shifting t = x + 1
-    leaves sum(d_i * x_i) <= F - 1 - sum(ds); every entry is a multiple
-    of the last chain entry, so dividing through reduces the search to
-    one bounded Diophantine equation per admissible right-hand side.
+    first are coprime to the preceding divisor ratio.  Entries are chosen
+    left to right, each bounded by what the remaining entries need at
+    coefficient 1, so every branch ends in a tuple.
     """
     ds = tuple(ds)
     if not is_sat_sequence(frobenius, ds):
         raise NotASatSequence(
             f"{list(ds)} is not a decreasing divisor chain avoiding F={frobenius}"
         )
-    slack = frobenius - 1 - sum(ds)
-    if slack < 0:
-        return []
-    dp = ds[-1]
-    scaled = tuple(d // dp for d in ds)
-    ratios = tuple(a // b for a, b in zip(ds, ds[1:]))
     out: list[tuple[int, ...]] = []
-    for k in range(slack // dp + 1):
-        for x in diophantine_solutions(scaled, k):
-            t = tuple(v + 1 for v in x)
-            if all(math.gcd(r, t[i + 1]) == 1 for i, r in enumerate(ratios)):
-                out.append(t)
-    out.sort()
+    ts: list[int] = []
+    rest = [sum(ds[i + 1:]) for i in range(len(ds))]
+
+    def grow(i: int, budget: int) -> None:
+        if i == len(ds):
+            out.append(tuple(ts))
+            return
+        d = ds[i]
+        ratio = ds[i - 1] // d if i else 1
+        for t in range(1, (budget - rest[i]) // d + 1):
+            if math.gcd(ratio, t) == 1:
+                ts.append(t)
+                grow(i + 1, budget - t * d)
+                ts.pop()
+
+    grow(0, frobenius - 1)
     return out
 
 
@@ -196,16 +172,27 @@ def enumerate_rank(frobenius: int, p: int) -> list[NumericalSemigroup]:
     """All members of the family with the given rank, ascending by small
     elements.
 
-    Witnesses are not unique per member, so duplicates are removed on the
-    canonical bitmap before sorting.
+    Each member has exactly one witness with t1 = 1: its minimal system
+    fixes the chain as its prefix gcds and n1 = d1, and then every
+    t_i = (n_i - n_{i-1}) / d_i is forced.  Those witnesses therefore list
+    the rank class once each, and each member is read off its minimal
+    system directly: the small elements are the progressions n_i + k*d_i
+    below n_{i+1}, the last one running below F.
     """
     if frobenius < 1 or p < 0:
         raise ValueError("need frobenius >= 1 and p >= 0")
     if p == 0:
         return [ordinary(frobenius + 1)]
-    seen: dict[int, NumericalSemigroup] = {}
+    masks = []
     for ds in list_sequences(frobenius, p):
         for ts in coefficient_tuples(frobenius, ds):
-            S = closure(frobenius, witness_generators(ds, ts))
-            seen[S._mask] = S
-    return sorted(seen.values(), key=lambda s: s.nonzero_small_elements())
+            if ts[0] != 1:
+                break  # the tuples ascend, so all with t1 = 1 came first
+            gens = witness_generators(ds, ts)
+            mask = 1 | (1 << (frobenius + 1))
+            for n, d, end in zip(gens, ds, gens[1:] + (frobenius,)):
+                count = (end - n + d - 1) // d
+                mask |= ((1 << (count * d)) - 1) // ((1 << d) - 1) << n
+            masks.append(mask)
+    sort_masks(frobenius, masks)
+    return [NumericalSemigroup._raw(frobenius, mask) for mask in masks]

@@ -9,13 +9,16 @@ organizes the family as a rooted tree: the children of S are the sets
 S + {x} where x is a special gap of S below its multiplicity, x != F, and
 the enlarged set is still saturated.
 
-Enumeration runs breadth first over that tree, one genus per layer.  Each
-node carries its minimal generating set: saturated semigroups have maximal
-embedding dimension, so the Apery table of the multiplicity is just the
-generator set plus 0.  Special gaps then come straight from the cached
-generators, a child's generators follow from the parent's by a residue
-scan, and whether adjoining x preserves saturation is decided by a running
-gcd over the members between m(S) and m(S)+x only.
+Enumeration runs breadth first over that tree, one genus per layer, and a
+node is nothing but its membership bitmap.  A gap x below the
+multiplicity is pseudo-Frobenius when shifting the nonzero members up by
+x lands inside S, which is one shift and mask over the window 0..F+1; it
+is special when 2x is a member as well.  Whether adjoining x preserves
+saturation is decided by a running gcd over the members between m(S) and
+m(S)+x only.
+
+special_gaps_from_msg and child_msg are the same two steps computed from
+minimal generators; the walk does not call them.
 """
 
 from __future__ import annotations
@@ -23,38 +26,22 @@ from __future__ import annotations
 import math
 from concurrent.futures import ProcessPoolExecutor
 from functools import partial
-from typing import Iterator, NamedTuple
+from typing import Iterator
 
 from .errors import PreconditionViolated, ResidueClassMissing
 from .extremal import least_non_divisor
-from .semigroup import NumericalSemigroup, ordinary
+from .semigroup import NumericalSemigroup, ordinary, sort_masks
 
 __all__ = [
-    "TreeNode",
-    "make_node",
     "special_gaps_from_msg",
     "extension_is_saturated",
     "child_msg",
-    "child_candidates",
     "iter_layers",
     "iter_sat",
     "enumerate_sat",
     "enumerate_sat_genus",
     "chain",
 ]
-
-
-class TreeNode(NamedTuple):
-    """One enumerated semigroup with its cached generators and layer depth."""
-
-    semigroup: NumericalSemigroup
-    msg: tuple[int, ...]
-    depth: int
-
-
-def make_node(S: NumericalSemigroup) -> TreeNode:
-    """Wrap a semigroup as a tree node, computing what the walk would cache."""
-    return TreeNode(S, S.minimal_generators(), S.small_count - 1)
 
 
 def special_gaps_from_msg(
@@ -86,16 +73,21 @@ def extension_is_saturated(S: NumericalSemigroup, x: int) -> bool:
     """
     F = S.frobenius
     m = S.multiplicity
-    if x == F or not 0 < x < m or x in S:
+    mask = S._mask
+    if x == F or not 0 < x < m or (mask >> x) & 1:
         raise PreconditionViolated(
             f"x={x} must be a gap below the multiplicity {m} and distinct from F={F}"
         )
     g = x
-    for s in range(m, min(m + x, F) + 1):
-        if s in S:
-            g = math.gcd(g, s)
-            if s + g not in S:
-                return False
+    window = (mask >> m) & ((1 << (min(x, F - m) + 1)) - 1)
+    while window:
+        low = window & -window
+        window ^= low
+        s = m + low.bit_length() - 1
+        g = math.gcd(g, s)
+        t = s + g
+        if t <= F + 1 and not (mask >> t) & 1:
+            return False
     return True
 
 
@@ -120,47 +112,35 @@ def child_msg(msg: tuple[int, ...], x: int) -> tuple[int, ...]:
     return tuple(picked)
 
 
-def child_candidates(node: TreeNode) -> tuple[int, ...]:
-    """The x whose adjunction yields a child of this node, ascending."""
-    S = node.semigroup
-    m = node.msg[0]
-    F = S.frobenius
-    return tuple(
-        x
-        for x in special_gaps_from_msg(S, node.msg)
-        if x < m and x != F and extension_is_saturated(S, x)
-    )
+def _expand(frobenius: int, mask: int) -> list[int]:
+    # the children of one node, as bitmaps
+    S = NumericalSemigroup._raw(frobenius, mask)
+    window = (1 << (frobenius + 2)) - 1
+    body = mask & ~1
+    m = (body & -body).bit_length() - 1
+    children = []
+    for x in range(1, min(m, frobenius)):
+        if (body << x) & window & ~mask:
+            continue  # x is not pseudo-Frobenius
+        if 2 * x <= frobenius + 1 and not (mask >> (2 * x)) & 1:
+            continue  # x is pseudo-Frobenius but not special
+        if extension_is_saturated(S, x):
+            children.append(mask | (1 << x))
+    return children
 
 
-def _expand(frobenius: int, payload: tuple[int, tuple[int, ...]]) -> list[tuple[int, tuple[int, ...]]]:
-    mask, msg = payload
-    node = TreeNode(NumericalSemigroup._raw(frobenius, mask), msg, 0)
-    return [
-        (mask | (1 << x), child_msg(msg, x)) for x in child_candidates(node)
-    ]
-
-
-def _small_key(frobenius: int, mask: int) -> tuple[int, ...]:
-    return tuple(i for i in range(1, frobenius) if (mask >> i) & 1)
-
-
-def iter_layers(frobenius: int, jobs: int = 1) -> Iterator[list[TreeNode]]:
+def iter_layers(frobenius: int, jobs: int = 1) -> Iterator[list[NumericalSemigroup]]:
     """Yield the tree layer by layer; layer k holds the members of genus F-k.
 
-    Inside a layer, nodes come in ascending order of their small-element
+    Inside a layer, members come in ascending order of their small-element
     lists.  With jobs > 1 the layer expansion is spread over worker
     processes; the output is identical either way.
     """
     if frobenius < 1:
         raise ValueError("frobenius must be >= 1")
-    root = ordinary(frobenius + 1)
-    layer = [(root._mask, tuple(range(frobenius + 1, 2 * frobenius + 2)))]
-    depth = 0
+    layer = [ordinary(frobenius + 1)._mask]
     while layer:
-        yield [
-            TreeNode(NumericalSemigroup._raw(frobenius, mask), msg, depth)
-            for mask, msg in layer
-        ]
+        yield [NumericalSemigroup._raw(frobenius, mask) for mask in layer]
         if jobs > 1 and len(layer) > 1:
             chunk = max(1, len(layer) // (4 * jobs))
             with ProcessPoolExecutor(max_workers=jobs) as pool:
@@ -168,16 +148,13 @@ def iter_layers(frobenius: int, jobs: int = 1) -> Iterator[list[TreeNode]]:
                     pool.map(partial(_expand, frobenius), layer, chunksize=chunk)
                 )
         else:
-            groups = [_expand(frobenius, payload) for payload in layer]
-        layer = sorted(
-            (pair for group in groups for pair in group),
-            key=lambda pair: _small_key(frobenius, pair[0]),
-        )
-        depth += 1
+            groups = [_expand(frobenius, mask) for mask in layer]
+        layer = [mask for group in groups for mask in group]
+        sort_masks(frobenius, layer)
 
 
-def iter_sat(frobenius: int, jobs: int = 1) -> Iterator[TreeNode]:
-    """Stream every node of the tree in canonical order."""
+def iter_sat(frobenius: int, jobs: int = 1) -> Iterator[NumericalSemigroup]:
+    """Stream every member of the family in canonical order."""
     for layer in iter_layers(frobenius, jobs):
         yield from layer
 
@@ -188,7 +165,7 @@ def enumerate_sat(frobenius: int, jobs: int = 1) -> list[NumericalSemigroup]:
     Layers come in increasing depth (decreasing genus); inside a layer,
     ascending by the list of small elements.
     """
-    return [node.semigroup for node in iter_sat(frobenius, jobs)]
+    return list(iter_sat(frobenius, jobs))
 
 
 def enumerate_sat_genus(
@@ -207,7 +184,7 @@ def enumerate_sat_genus(
     target = frobenius - genus
     for depth, layer in enumerate(iter_layers(frobenius, jobs)):
         if depth == target:
-            return [node.semigroup for node in layer]
+            return layer
     return []
 
 

@@ -187,3 +187,42 @@ def test_color_env_decorates_verify_only(monkeypatch):
     monkeypatch.setenv("SATSEMI_COLOR", "0")
     _, plain = run_cli("verify", "--max-frobenius", "2")
     assert "\x1b[" not in plain
+
+
+@pytest.mark.parametrize(
+    "argv, code, message",
+    [
+        (("enumerate", "--frobenius", "0"), 2, "argument --frobenius: must be at least 1"),
+        (("genus", "--frobenius", "-1", "--genus", "0"), 2, "argument --frobenius: must be at least 1"),
+        (("maximal", "--frobenius", "0"), 2, "argument --frobenius: must be at least 1"),
+        (("min-genus", "--frobenius", "0"), 2, "argument --frobenius: must be at least 1"),
+        (("feasible", "--frobenius", "0", "--rank", "1"), 2, "argument --frobenius: must be at least 1"),
+        (("rank", "--frobenius", "0", "--rank", "1"), 2, "argument --frobenius: must be at least 1"),
+        (("rank", "--frobenius", "7", "--rank", "-1"), 2, "argument --rank: must be at least 0"),
+        (("feasible", "--frobenius", "7", "--rank", "-1"), 2, "argument --rank: must be at least 0"),
+        (("enumerate", "--frobenius", "7", "--jobs", "0"), 2, "argument --jobs: must be at least 1"),
+        (("enumerate", "--frobenius", "7", "--jobs", "-3"), 2, "argument --jobs: must be at least 1"),
+        (("enumerate", "--frobenius", "x"), 2, "argument --frobenius: invalid int value: 'x'"),
+        (("verify", "--max-frobenius", "21"), 1, "error: subset search above F=20 is not practical"),
+    ],
+)
+def test_bad_input_gives_one_line_diagnostic(monkeypatch, capsys, argv, code, message):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("work started before the input was refused")
+
+    monkeypatch.setattr("satsemi.cli.check_all", unreachable)
+    try:
+        got = main(list(argv))
+    except SystemExit as exc:
+        got = exc.code
+    captured = capsys.readouterr()
+    assert got == code
+    assert captured.out == ""
+    assert "Traceback" not in captured.err
+    lines = captured.err.splitlines()
+    assert message in lines[-1]
+    assert sum("error:" in line for line in lines) == 1
+    if code == 2:
+        assert lines[0].startswith("usage: satsemi")
+    else:
+        assert len(lines) == 1

@@ -7,7 +7,6 @@ from satsemi.errors import NotASatSequence
 from satsemi.extremal import tooth
 from satsemi.rank_enum import (
     coefficient_tuples,
-    diophantine_solutions,
     enumerate_rank,
     feasible_rank,
     is_sat_sequence,
@@ -25,15 +24,6 @@ def naive_is_chain(frobenius, ds):
     decreasing = all(a > b for a, b in zip(ds, ds[1:]))
     divides = all(a % b == 0 for a, b in zip(ds, ds[1:]))
     return decreasing and divides and frobenius % ds[-1] != 0
-
-
-def naive_diophantine(coeffs, target):
-    boxes = [range(target // c + 1) for c in coeffs]
-    return [
-        xs
-        for xs in product(*boxes)
-        if sum(c * x for c, x in zip(coeffs, xs)) == target
-    ]
 
 
 def naive_coefficient_tuples(frobenius, ds):
@@ -104,33 +94,11 @@ def test_feasible_rank_matches_sequences():
             assert feasible_rank(f, p) == bool(list_sequences(f, p))
 
 
-def test_diophantine_examples():
-    assert diophantine_solutions((2, 1), 3) == [(0, 3), (1, 1)]
-    assert diophantine_solutions((3,), 12) == [(4,)]
-    assert diophantine_solutions((3,), 11) == []
-    assert diophantine_solutions((5, 3), 0) == [(0, 0)]
-    assert diophantine_solutions((2, 3), -1) == []
-    with pytest.raises(ValueError):
-        diophantine_solutions((0, 2), 4)
-    with pytest.raises(ValueError):
-        diophantine_solutions((), 4)
-
-
-def test_diophantine_matches_brute_force():
-    cases = [
-        (4, 2, 1), (2, 1), (3, 5), (7,), (1, 1, 1), (5, 3, 2, 1), (4, 4, 6, 2),
-    ]
-    for coeffs in cases:
-        for target in range(41):
-            got = diophantine_solutions(coeffs, target)
-            assert got == sorted(naive_diophantine(coeffs, target))
-            assert got == sorted(set(got))
-
-
 def test_coefficient_tuples_examples():
     assert coefficient_tuples(7, (4, 2)) == [(1, 1)]
     assert coefficient_tuples(11, (4, 2)) == [(1, 1), (1, 3), (2, 1)]
     assert coefficient_tuples(9, (2,)) == [(1,), (2,), (3,), (4,)]
+    assert coefficient_tuples(7, (6, 3)) == []  # the chain alone reaches F
     with pytest.raises(NotASatSequence):
         coefficient_tuples(8, (4, 2))
 
@@ -196,7 +164,7 @@ def test_witness_semigroups_have_expected_rank():
 
 
 def test_distinct_witnesses_can_collide():
-    # dedup in enumerate_rank is load-bearing: amounts moved between the
+    # why enumerate_rank keeps only t1 = 1: amounts moved between the
     # first two coefficients leave all partial sums unchanged
     a = witness_to_semigroup(11, (4, 2), (1, 3))
     b = witness_to_semigroup(11, (4, 2), (2, 1))

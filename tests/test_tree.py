@@ -4,13 +4,11 @@ from satsemi.errors import PreconditionViolated, ResidueClassMissing
 from satsemi.semigroup import NumericalSemigroup, ordinary
 from satsemi.tree import (
     chain,
-    child_candidates,
     child_msg,
     enumerate_sat,
     enumerate_sat_genus,
     extension_is_saturated,
     iter_layers,
-    make_node,
     special_gaps_from_msg,
 )
 
@@ -28,11 +26,11 @@ SAT7_EXPECTED = [
 def test_special_gaps_from_msg_matches_direct(corpus):
     for f in (6, 8, 10):
         for S in corpus(f):
-            node = make_node(S)
-            assert special_gaps_from_msg(S, node.msg) == S.special_gaps()
+            msg = S.minimal_generators()
+            assert special_gaps_from_msg(S, msg) == S.special_gaps()
 
 
-def test_child_candidates_walkthrough(du):
+def test_children_walkthrough(du):
     by_smalls = {
         (): (4, 5, 6),
         (4,): (),
@@ -42,8 +40,13 @@ def test_child_candidates_walkthrough(du):
         (4, 6): (2,),
         (2, 4, 6): (),
     }
-    for smalls, expected in by_smalls.items():
-        assert child_candidates(make_node(du(7, *smalls))) == expected
+    children = {smalls: [] for smalls in by_smalls}
+    for layer in iter_layers(7):
+        for S in layer:
+            if S != ordinary(8):
+                parent = S.remove_multiplicity().nonzero_small_elements()
+                children[parent].append(S.multiplicity)
+    assert {k: tuple(sorted(v)) for k, v in children.items()} == by_smalls
 
 
 def test_extension_examples(du):
@@ -115,16 +118,6 @@ def test_enumerated_members_are_valid():
             NumericalSemigroup.from_small_elements(f, S.nonzero_small_elements())
 
 
-def test_node_caches_and_depths():
-    for f in (8, 9):
-        for depth, layer in enumerate(iter_layers(f)):
-            for node in layer:
-                assert node.depth == depth == node.semigroup.small_count - 1
-                assert node.msg == node.semigroup.minimal_generators()
-            smalls = [n.semigroup.nonzero_small_elements() for n in layer]
-            assert smalls == sorted(smalls)
-
-
 def test_enumerate_genus_example():
     got = [S.nonzero_small_elements() for S in enumerate_sat_genus(7, 5)]
     assert got == [(3, 6), (4, 6)]
@@ -187,7 +180,9 @@ def test_parent_child_consistency(corpus):
             parent = S.remove_multiplicity()
             assert parent in family
             x = S.multiplicity
-            assert x in child_candidates(make_node(parent))
+            assert x in parent.special_gaps()
+            assert x < parent.multiplicity
+            assert extension_is_saturated(parent, x)
             assert parent.adjoin(x) == S
 
 
