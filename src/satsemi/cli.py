@@ -140,17 +140,12 @@ _nonnegative = _int_at_least(0)
 
 
 def _cmd_enumerate(args: argparse.Namespace) -> int:
-    _emit_semigroups(
-        iter_sat(args.frobenius, jobs=args.jobs), args.format, stream=args.stream
-    )
+    _emit_semigroups(iter_sat(args.frobenius), args.format, stream=args.stream)
     return 0
 
 
 def _cmd_genus(args: argparse.Namespace) -> int:
-    _emit_semigroups(
-        enumerate_sat_genus(args.frobenius, args.genus, jobs=args.jobs),
-        args.format,
-    )
+    _emit_semigroups(enumerate_sat_genus(args.frobenius, args.genus), args.format)
     return 0
 
 
@@ -212,10 +207,7 @@ def _cmd_feasible(args: argparse.Namespace) -> int:
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     refuse_above_limit(args.max_frobenius)
-    reports = [
-        check_all(f, jobs=args.jobs)
-        for f in range(1, args.max_frobenius + 1)
-    ]
+    reports = [check_all(f) for f in range(1, args.max_frobenius + 1)]
     all_ok = all(r.ok for r in reports)
     if args.format == "json":
         print(json.dumps([r.to_json() for r in reports], indent=2))
@@ -256,7 +248,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     common.add_argument(
         "--jobs", type=_positive, default=1,
-        help="worker processes for enumeration (default: 1)",
+        help="accepted for compatibility; enumeration runs in one process",
     )
     common.add_argument(
         "--sort", choices=("canonical",), default="canonical",
@@ -335,7 +327,7 @@ def build_parser() -> argparse.ArgumentParser:
         "verify", parents=[common],
         help="cross-validate the fast paths against the brute-force oracle",
     )
-    p.add_argument("--max-frobenius", type=int, required=True, metavar="N")
+    p.add_argument("--max-frobenius", type=_positive, required=True, metavar="N")
     p.set_defaults(run=_cmd_verify)
 
     return parser

@@ -10,7 +10,6 @@ modules they are used to validate.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 from .errors import TooLarge
 from .extremal import maximal_elements, min_genus
@@ -107,13 +106,18 @@ def brute_force_sat(frobenius: int) -> list[NumericalSemigroup]:
     return found
 
 
-@dataclass
 class Report:
     """Outcome of cross-validating the fast paths against the subset search."""
 
-    frobenius: int
-    semigroup_count: int
-    discrepancies: list[str] = field(default_factory=list)
+    def __init__(
+        self,
+        frobenius: int,
+        semigroup_count: int,
+        discrepancies: list[str] | None = None,
+    ) -> None:
+        self.frobenius = frobenius
+        self.semigroup_count = semigroup_count
+        self.discrepancies = [] if discrepancies is None else discrepancies
 
     @property
     def ok(self) -> bool:
@@ -128,7 +132,7 @@ class Report:
         }
 
 
-def check_all(frobenius: int, jobs: int = 1) -> Report:
+def check_all(frobenius: int) -> Report:
     """Compare every fast computation at this F against the brute force.
 
     Covers the tree enumeration, the genus filter, the maximal elements,
@@ -141,7 +145,7 @@ def check_all(frobenius: int, jobs: int = 1) -> Report:
     report = Report(frobenius, len(truth))
     bad = report.discrepancies.append
 
-    fast = enumerate_sat(frobenius, jobs=jobs)
+    fast = enumerate_sat(frobenius)
     fast_set = set(fast)
     if len(fast) != len(fast_set):
         bad("tree enumeration repeated a member")
@@ -154,7 +158,7 @@ def check_all(frobenius: int, jobs: int = 1) -> Report:
 
     for g in range(frobenius + 2):
         want = {s for s in truth if s.genus == g}
-        got = set(enumerate_sat_genus(frobenius, g, jobs=jobs))
+        got = set(enumerate_sat_genus(frobenius, g))
         if want != got:
             bad(f"genus filter mismatch at g={g}")
 

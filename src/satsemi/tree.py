@@ -24,8 +24,10 @@ minimal generators; the walk does not call them.
 from __future__ import annotations
 
 import math
+# Unused: the traced benchmark wraps this name to count pool starts
+# (tree.pools_started).  Remove the import when the benchmark retires
+# that metric.
 from concurrent.futures import ProcessPoolExecutor
-from functools import partial
 from typing import Iterator
 
 from .errors import PreconditionViolated, ResidueClassMissing
@@ -129,48 +131,37 @@ def _expand(frobenius: int, mask: int) -> list[int]:
     return children
 
 
-def iter_layers(frobenius: int, jobs: int = 1) -> Iterator[list[NumericalSemigroup]]:
+def iter_layers(frobenius: int) -> Iterator[list[NumericalSemigroup]]:
     """Yield the tree layer by layer; layer k holds the members of genus F-k.
 
     Inside a layer, members come in ascending order of their small-element
-    lists.  With jobs > 1 the layer expansion is spread over worker
-    processes; the output is identical either way.
+    lists.
     """
     if frobenius < 1:
         raise ValueError("frobenius must be >= 1")
     layer = [ordinary(frobenius + 1)._mask]
     while layer:
         yield [NumericalSemigroup._raw(frobenius, mask) for mask in layer]
-        if jobs > 1 and len(layer) > 1:
-            chunk = max(1, len(layer) // (4 * jobs))
-            with ProcessPoolExecutor(max_workers=jobs) as pool:
-                groups = list(
-                    pool.map(partial(_expand, frobenius), layer, chunksize=chunk)
-                )
-        else:
-            groups = [_expand(frobenius, mask) for mask in layer]
-        layer = [mask for group in groups for mask in group]
+        layer = [child for mask in layer for child in _expand(frobenius, mask)]
         sort_masks(frobenius, layer)
 
 
-def iter_sat(frobenius: int, jobs: int = 1) -> Iterator[NumericalSemigroup]:
+def iter_sat(frobenius: int) -> Iterator[NumericalSemigroup]:
     """Stream every member of the family in canonical order."""
-    for layer in iter_layers(frobenius, jobs):
+    for layer in iter_layers(frobenius):
         yield from layer
 
 
-def enumerate_sat(frobenius: int, jobs: int = 1) -> list[NumericalSemigroup]:
+def enumerate_sat(frobenius: int) -> list[NumericalSemigroup]:
     """All saturated semigroups with the given Frobenius number.
 
     Layers come in increasing depth (decreasing genus); inside a layer,
     ascending by the list of small elements.
     """
-    return list(iter_sat(frobenius, jobs))
+    return list(iter_sat(frobenius))
 
 
-def enumerate_sat_genus(
-    frobenius: int, genus: int, jobs: int = 1
-) -> list[NumericalSemigroup]:
+def enumerate_sat_genus(frobenius: int, genus: int) -> list[NumericalSemigroup]:
     """The members with the given genus; empty when the genus is unreachable.
 
     Genus g occurs exactly for F - floor(F/p) <= g <= F with p the least
@@ -182,7 +173,7 @@ def enumerate_sat_genus(
     if genus > frobenius or genus < floor:
         return []
     target = frobenius - genus
-    for depth, layer in enumerate(iter_layers(frobenius, jobs)):
+    for depth, layer in enumerate(iter_layers(frobenius)):
         if depth == target:
             return layer
     return []

@@ -1,9 +1,14 @@
 import io
 import json
+import os
+import subprocess
+import sys
 from contextlib import redirect_stdout
+from pathlib import Path
 
 import pytest
 
+import satsemi
 from satsemi.cli import main
 from satsemi.semigroup import NumericalSemigroup
 
@@ -170,12 +175,27 @@ def test_sort_flag_reserved():
     assert code == 0
 
 
-def test_jobs_outputs_byte_identical():
+def test_jobs_outputs_byte_identical(monkeypatch):
+    def no_pool(*args, **kwargs):
+        raise AssertionError("enumeration started a process pool")
+
+    monkeypatch.setattr("satsemi.tree.ProcessPoolExecutor", no_pool)
     runs = [
         run_cli("enumerate", "--frobenius", "12", "--jobs", str(jobs))[1]
         for jobs in (1, 3, 3)
     ]
     assert runs[0] == runs[1] == runs[2]
+
+
+def test_cli_import_skips_dataclasses():
+    # dataclasses costs about 10 ms of start-up for every command
+    src = str(Path(satsemi.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": src}
+    code = "import satsemi.cli, sys; print('dataclasses' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    ).stdout
+    assert out == "False\n"
 
 
 def test_color_env_decorates_verify_only(monkeypatch):
@@ -204,6 +224,8 @@ def test_color_env_decorates_verify_only(monkeypatch):
         (("enumerate", "--frobenius", "7", "--jobs", "-3"), 2, "argument --jobs: must be at least 1"),
         (("enumerate", "--frobenius", "x"), 2, "argument --frobenius: invalid int value: 'x'"),
         (("verify", "--max-frobenius", "21"), 1, "error: subset search above F=20 is not practical"),
+        (("verify", "--max-frobenius", "0"), 2, "argument --max-frobenius: must be at least 1"),
+        (("verify", "--max-frobenius", "-3"), 2, "argument --max-frobenius: must be at least 1"),
     ],
 )
 def test_bad_input_gives_one_line_diagnostic(monkeypatch, capsys, argv, code, message):

@@ -186,11 +186,6 @@ def test_parent_child_consistency(corpus):
             assert parent.adjoin(x) == S
 
 
-def test_parallel_jobs_identical_output():
-    assert enumerate_sat(10, jobs=2) == enumerate_sat(10)
-    assert enumerate_sat_genus(11, 8, jobs=2) == enumerate_sat_genus(11, 8)
-
-
 def test_rejects_bad_frobenius():
     with pytest.raises(ValueError):
         enumerate_sat(0)
