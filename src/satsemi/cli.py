@@ -2,7 +2,9 @@
 
 Subcommands mirror the library: enumerate, genus, maximal, min-genus,
 closure, min-gens, rank, feasible, verify.  Formats: text (one semigroup
-per line, count footer unless streaming), json, csv.  Exit codes: 0 on
+per line, then a count footer), json (an array, written record by record
+so memory stays flat) and csv.  ``enumerate --stream`` drops the text
+footer and writes json as one object per line.  Exit codes: 0 on
 success, 1 on a domain error (one-line diagnostic on stderr), 2 on a
 usage error.  Set SATSEMI_COLOR=1 to color verify status lines; data
 lines are never decorated.
@@ -13,6 +15,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import os
 import sys
 from typing import Iterable
@@ -22,7 +25,7 @@ from .extremal import maximal_elements, min_genus
 from .oracle import check_all, refuse_above_limit
 from .rank_enum import enumerate_rank, feasible_rank
 from .satsets import closure, minimal_system
-from .semigroup import NumericalSemigroup
+from .semigroup import NumericalSemigroup, _set_bits
 from .tree import enumerate_sat_genus, iter_sat
 
 SEMIGROUP_CSV_COLUMNS = (
@@ -38,13 +41,42 @@ SEMIGROUP_CSV_COLUMNS = (
 
 
 def _record(S: NumericalSemigroup) -> dict:
-    system = minimal_system(S)
-    rec = S.canonical_json()
-    rec["gaps"] = list(S.gaps())
-    rec["sat_msg"] = list(system.elements)
-    rec["embedding_dimension"] = S.embedding_dimension
-    rec["rank"] = len(system.elements)
-    return rec
+    """The output record of a saturated member, in one pass over its bitmap.
+
+    Every caller of ``_emit_semigroups`` (enumerate, genus, maximal,
+    closure, rank) passes saturated members, and the msg shortcut holds
+    only for them; S is not checked here.  A saturated semigroup is Arf,
+    and an Arf semigroup has maximal embedding dimension (Rosales and
+    Garcia-Sanchez, Numerical Semigroups, 2009, ch. 3): its minimal
+    generators are the multiplicity m together with the nonzero elements
+    of the Apery set of m, the members w with w - m not a member.  Every
+    such w is at most F + m, so the implicit tail is made explicit for m
+    bits past F + 1.  The minimal system is where the running gcd of the
+    small elements drops, as in ``minimal_system``.
+    """
+    F = S.frobenius
+    mask = S._mask
+    small = _set_bits(mask & ((1 << F) - 2))
+    m = small[0] if small else F + 1
+    ext = mask | ((1 << m) - 1) << (F + 2)
+    msg = _set_bits((ext & ~(ext << m) & ~1) | (1 << m))
+    system = small[:1]
+    g = m
+    for s in small:
+        if s % g:
+            g = math.gcd(g, s)
+            system.append(s)
+    return {
+        "frobenius": F,
+        "small_elements": small,
+        "msg": msg,
+        "genus": F - len(small),
+        "multiplicity": m,
+        "gaps": _set_bits(~mask & ((1 << (F + 1)) - 2)),
+        "sat_msg": system,
+        "embedding_dimension": len(msg),
+        "rank": len(system),
+    }
 
 
 def _text_line(rec: dict) -> str:
@@ -56,6 +88,21 @@ def _text_line(rec: dict) -> str:
         f"{members}→ | msg=⟨{msg}⟩"
         f" | g={rec['genus']} | rank={rec['rank']}"
     )
+
+
+def _json_block(rec: dict) -> str:
+    # json.dumps(rec, indent=2) as it sits in the top-level array, for a
+    # record whose values are ints or lists of ints
+    fields = []
+    for key, value in rec.items():
+        if isinstance(value, list):
+            value = (
+                "[\n      " + ",\n      ".join(map(str, value)) + "\n    ]"
+                if value
+                else "[]"
+            )
+        fields.append(f'    "{key}": {value}')
+    return "  {\n" + ",\n".join(fields) + "\n  }"
 
 
 def _csv_row(rec: dict) -> list:
@@ -86,7 +133,13 @@ def _emit_semigroups(
             for S in semigroups:
                 print(json.dumps(_record(S)))
         else:
-            print(json.dumps([_record(S) for S in semigroups], indent=2))
+            # record by record, so the array is never held in memory
+            out = sys.stdout
+            sep = "[\n"
+            for S in semigroups:
+                out.write(sep + _json_block(_record(S)))
+                sep = ",\n"
+            out.write("[]\n" if sep == "[\n" else "\n]\n")
     else:
         writer = csv.writer(sys.stdout, lineterminator="\n")
         writer.writerow(SEMIGROUP_CSV_COLUMNS)
@@ -263,7 +316,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--frobenius", type=_positive, required=True, metavar="F")
     p.add_argument(
         "--stream", action="store_true",
-        help="emit each layer as computed and skip the count footer",
+        help="json: one object per line instead of an array; text: no count footer",
     )
     p.set_defaults(run=_cmd_enumerate)
 
@@ -271,7 +324,7 @@ def build_parser() -> argparse.ArgumentParser:
         "genus", parents=[common], help="the members with a fixed genus"
     )
     p.add_argument("--frobenius", type=_positive, required=True, metavar="F")
-    p.add_argument("--genus", type=int, required=True, metavar="G")
+    p.add_argument("--genus", type=_nonnegative, required=True, metavar="G")
     p.set_defaults(run=_cmd_genus)
 
     p = sub.add_parser(

@@ -15,6 +15,7 @@ not representable; constructors reject it.
 from __future__ import annotations
 
 import math
+from itertools import compress
 from typing import Iterable, Iterator, NamedTuple
 
 from .errors import (
@@ -380,6 +381,16 @@ def ordinary(conductor: int) -> NumericalSemigroup:
     if conductor < 2:
         raise NotRepresentable(f"{{0, {conductor}, ->}} is all of N")
     return NumericalSemigroup._raw(conductor - 1, 1 | (1 << conductor))
+
+
+_BIT_BYTES = bytes.maketrans(b"01", b"\0\1")
+
+
+def _set_bits(mask: int) -> list[int]:
+    # positions of the set bits of a nonnegative int, ascending; the
+    # binary digits, lowest first, become 0/1 bytes that select positions
+    bits = format(mask, "b")[::-1].encode().translate(_BIT_BYTES)
+    return list(compress(range(len(bits)), bits))
 
 
 def sort_masks(frobenius: int, masks: list[int]) -> None:

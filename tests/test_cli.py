@@ -9,8 +9,11 @@ from pathlib import Path
 import pytest
 
 import satsemi
-from satsemi.cli import main
+from satsemi.cli import _emit_semigroups, _record, main
+from satsemi.extremal import maximal_elements
+from satsemi.satsets import closure, minimal_system
 from satsemi.semigroup import NumericalSemigroup
+from satsemi.tree import enumerate_sat
 
 
 def run_cli(*argv):
@@ -95,6 +98,60 @@ def test_json_records_round_trip():
         assert sorted(rec["gaps"] + [0] + rec["small_elements"] + [rec["frobenius"] + 1]) == list(
             range(rec["frobenius"] + 2)
         )
+
+
+def general_record(S):
+    # the record built from the public API, with no saturation shortcut
+    system = minimal_system(S)
+    rec = S.canonical_json()
+    rec["gaps"] = list(S.gaps())
+    rec["sat_msg"] = list(system.elements)
+    rec["embedding_dimension"] = S.embedding_dimension
+    rec["rank"] = len(system.elements)
+    return rec
+
+
+def test_one_pass_record_matches_general_path():
+    # pins the maximal-embedding-dimension shortcut for msg against
+    # minimal_generators() on every member up to F=60, beyond the golden F
+    members = [S for f in range(1, 61) for S in enumerate_sat(f)]
+    members += [S for f in (61, 97, 128) for S in maximal_elements(f)]
+    members += [
+        closure(51, [8, 28, 42]),
+        closure(101, [30, 42, 70]),
+        closure(150, [16, 24, 44]),
+        closure(199, [12, 20, 46]),
+        closure(199, []),
+    ]
+    for S in members:
+        assert list(_record(S).items()) == list(general_record(S).items()), S
+
+
+@pytest.mark.parametrize("f", [1, 2, 7, 40, 83])
+def test_json_array_matches_indented_encoder(f):
+    code, out = run_cli("enumerate", "--frobenius", str(f), "--format", "json")
+    assert code == 0
+    expected = json.dumps([_record(S) for S in enumerate_sat(f)], indent=2) + "\n"
+    # lists, not strings: a failing string comparison this long takes pytest minutes to diff
+    assert out.split("\n") == expected.split("\n")
+
+
+def test_empty_json_array():
+    out = run_cli("genus", "--frobenius", "7", "--genus", "99", "--format", "json")
+    assert out == (0, "[]\n")
+
+
+def test_json_array_written_record_by_record():
+    out = io.StringIO()
+
+    def produce():
+        for k, S in enumerate(enumerate_sat(12), 1):
+            assert out.getvalue().count('"frobenius"') == k - 1
+            yield S
+
+    with redirect_stdout(out):
+        _emit_semigroups(produce(), "json")
+    assert json.loads(out.getvalue()) == [_record(S) for S in enumerate_sat(12)]
 
 
 def test_min_gens_subcommand():
@@ -226,6 +283,7 @@ def test_color_env_decorates_verify_only(monkeypatch):
         (("verify", "--max-frobenius", "21"), 1, "error: subset search above F=20 is not practical"),
         (("verify", "--max-frobenius", "0"), 2, "argument --max-frobenius: must be at least 1"),
         (("verify", "--max-frobenius", "-3"), 2, "argument --max-frobenius: must be at least 1"),
+        (("genus", "--frobenius", "7", "--genus", "-1"), 2, "argument --genus: must be at least 0"),
     ],
 )
 def test_bad_input_gives_one_line_diagnostic(monkeypatch, capsys, argv, code, message):
