@@ -105,6 +105,12 @@ def _json_block(rec: dict) -> str:
     return "  {\n" + ",\n".join(fields) + "\n  }"
 
 
+def _json_line(rec: dict) -> str:
+    # json.dumps(rec): for a dict with identifier keys and values that are
+    # ints or lists of ints, repr differs from it only in the quote mark
+    return repr(rec).replace("'", '"')
+
+
 def _csv_row(rec: dict) -> list:
     return [
         rec["frobenius"],
@@ -129,12 +135,12 @@ def _emit_semigroups(
         if not stream:
             print(count)
     elif fmt == "json":
+        out = sys.stdout
         if stream:
             for S in semigroups:
-                print(json.dumps(_record(S)))
+                out.write(_json_line(_record(S)) + "\n")
         else:
             # record by record, so the array is never held in memory
-            out = sys.stdout
             sep = "[\n"
             for S in semigroups:
                 out.write(sep + _json_block(_record(S)))
@@ -224,7 +230,11 @@ def _cmd_closure(args: argparse.Namespace) -> int:
 
 
 def _cmd_min_gens(args: argparse.Namespace) -> int:
-    S = NumericalSemigroup.from_small_elements(args.frobenius, args.small)
+    try:
+        S = NumericalSemigroup.from_small_elements(args.frobenius, args.small)
+    except ValueError as err:  # an element outside 1..F-1
+        print(f"error: {err}", file=sys.stderr)
+        return 1
     system = minimal_system(S, args.frobenius)
     elems = ",".join(map(str, system.elements))
     _emit_value(

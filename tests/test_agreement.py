@@ -1,8 +1,9 @@
-"""The tree walk and the rank enumerator agree for every F <= 60.
+"""The tree walk and the rank enumerator agree for every F <= 60, and at
+F = 83 and 101, above the Frobenius numbers the golden digests pin.
 
-The two paths share no code beyond the canonical sort: the walk adjoins
-special gaps layer by layer, the rank enumerator builds each member from
-its t1 = 1 witness.
+The two paths share no code: the walk adjoins special gaps layer by
+layer and orders each layer by grouping children, the rank enumerator
+builds each member from its t1 = 1 witness and sorts.
 """
 
 from satsemi.rank_enum import enumerate_rank, feasible_rank
@@ -21,7 +22,7 @@ def test_layers_sorted_and_at_their_depth():
 
 
 def test_rank_classes_partition_the_tree_family():
-    for f in range(1, 61):
+    for f in [*range(1, 61), 83, 101]:
         family = enumerate_sat(f)
         classes = []
         p = 0

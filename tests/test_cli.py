@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import satsemi
-from satsemi.cli import _emit_semigroups, _record, main
+from satsemi.cli import _emit_semigroups, _json_line, _record, main
 from satsemi.extremal import maximal_elements
 from satsemi.satsets import closure, minimal_system
 from satsemi.semigroup import NumericalSemigroup
@@ -139,6 +139,17 @@ def test_json_array_matches_indented_encoder(f):
 def test_empty_json_array():
     out = run_cli("genus", "--frobenius", "7", "--genus", "99", "--format", "json")
     assert out == (0, "[]\n")
+
+
+def test_json_line_matches_compact_encoder():
+    for f in range(1, 61):
+        for S in enumerate_sat(f):
+            rec = _record(S)
+            assert _json_line(rec) == json.dumps(rec), S
+    out = io.StringIO()
+    with redirect_stdout(out):
+        _emit_semigroups([], "json", stream=True)
+    assert out.getvalue() == ""
 
 
 def test_json_array_written_record_by_record():
@@ -284,6 +295,8 @@ def test_color_env_decorates_verify_only(monkeypatch):
         (("verify", "--max-frobenius", "0"), 2, "argument --max-frobenius: must be at least 1"),
         (("verify", "--max-frobenius", "-3"), 2, "argument --max-frobenius: must be at least 1"),
         (("genus", "--frobenius", "7", "--genus", "-1"), 2, "argument --genus: must be at least 0"),
+        (("min-gens", "--frobenius", "7", "--small", "2,4,6,9"), 1, "error: small element 9 outside 1..6"),
+        (("min-gens", "--frobenius", "7", "--small", "0"), 1, "error: small element 0 outside 1..6"),
     ],
 )
 def test_bad_input_gives_one_line_diagnostic(monkeypatch, capsys, argv, code, message):

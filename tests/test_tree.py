@@ -1,8 +1,13 @@
+from itertools import accumulate
+from math import gcd
+
 import pytest
 
 from satsemi.errors import PreconditionViolated, ResidueClassMissing
+from satsemi.satsets import minimal_system
 from satsemi.semigroup import NumericalSemigroup, ordinary
 from satsemi.tree import (
+    _expand,
     chain,
     child_msg,
     enumerate_sat,
@@ -191,3 +196,60 @@ def test_rejects_bad_frobenius():
         enumerate_sat(0)
     with pytest.raises(ValueError):
         enumerate_sat_genus(0, 0)
+
+
+def gcd_drop_chain(S):
+    # the (n_i, d_i) links: the members where the running gcd drops, and its value
+    ns = minimal_system(S).elements
+    return tuple(zip(ns, accumulate(ns, gcd)))
+
+
+def test_pseudo_frobenius_below_multiplicity_is_a_shift():
+    for f in range(1, 61):
+        for S in enumerate_sat(f):
+            m = S.multiplicity
+            shifted = {x for x in range(1, m) if x + m in S}
+            assert shifted == {x for x in S.pseudo_frobenius() if x < m}, S
+
+
+def test_kernel_decides_like_the_reference():
+    for f in range(1, 61):
+        for S in enumerate_sat(f):
+            groups = [[] for _ in range(f)]
+            _expand(f, S._mask, gcd_drop_chain(S), groups)
+            kept = set()
+            for x, group in enumerate(groups):
+                for mask, links in group:
+                    child = NumericalSemigroup._raw(f, mask)
+                    assert mask == S._mask | 1 << x
+                    assert links == gcd_drop_chain(child)
+                    kept.add(x)
+            m = S.multiplicity
+            for x in S.special_gaps():
+                if x < m and x != f:
+                    want = extension_is_saturated(S, x)
+                    assert want == S.adjoin(x).is_saturated()
+                    assert (x in kept) == want, (S, x)
+                    kept.discard(x)
+            assert not kept, S
+
+
+def reference_layers(f):
+    layer = [ordinary(f + 1)]
+    while layer:
+        yield layer
+        children = []
+        for S in layer:
+            m = S.multiplicity
+            for x in S.special_gaps():
+                if x < m and x != f and extension_is_saturated(S, x):
+                    children.append(NumericalSemigroup._raw(f, S._mask | 1 << x))
+        layer = sorted(children, key=lambda S: S.nonzero_small_elements())
+
+
+@pytest.mark.parametrize("f", [83, 101])
+def test_walk_equals_reference_walk(f):
+    walk = iter_layers(f)
+    for depth, want in enumerate(reference_layers(f)):
+        assert next(walk) == want, depth
+    assert next(walk, None) is None
