@@ -40,8 +40,10 @@ SEMIGROUP_CSV_COLUMNS = (
 )
 
 
-def _record(S: NumericalSemigroup) -> dict:
+def _record(S: NumericalSemigroup, gaps: bool = True) -> dict:
     """The output record of a saturated member, in one pass over its bitmap.
+
+    ``gaps=False`` leaves out the gap list, which only json prints.
 
     Every caller of ``_emit_semigroups`` (enumerate, genus, maximal,
     closure, rank) passes saturated members, and the msg shortcut holds
@@ -66,17 +68,19 @@ def _record(S: NumericalSemigroup) -> dict:
         if s % g:
             g = math.gcd(g, s)
             system.append(s)
-    return {
+    rec = {
         "frobenius": F,
         "small_elements": small,
         "msg": msg,
         "genus": F - len(small),
         "multiplicity": m,
-        "gaps": _set_bits(~mask & ((1 << (F + 1)) - 2)),
-        "sat_msg": system,
-        "embedding_dimension": len(msg),
-        "rank": len(system),
     }
+    if gaps:
+        rec["gaps"] = _set_bits(~mask & ((1 << (F + 1)) - 2))
+    rec["sat_msg"] = system
+    rec["embedding_dimension"] = len(msg)
+    rec["rank"] = len(system)
+    return rec
 
 
 def _text_line(rec: dict) -> str:
@@ -130,7 +134,7 @@ def _emit_semigroups(
     if fmt == "text":
         count = 0
         for S in semigroups:
-            print(_text_line(_record(S)))
+            print(_text_line(_record(S, gaps=False)))
             count += 1
         if not stream:
             print(count)
@@ -150,7 +154,7 @@ def _emit_semigroups(
         writer = csv.writer(sys.stdout, lineterminator="\n")
         writer.writerow(SEMIGROUP_CSV_COLUMNS)
         for S in semigroups:
-            writer.writerow(_csv_row(_record(S)))
+            writer.writerow(_csv_row(_record(S, gaps=False)))
 
 
 def _emit_value(fmt: str, columns: tuple[str, ...], record: dict, text: str) -> None:
@@ -353,7 +357,7 @@ def build_parser() -> argparse.ArgumentParser:
         "closure", parents=[common],
         help="least member containing the given set",
     )
-    p.add_argument("--frobenius", type=int, required=True, metavar="F")
+    p.add_argument("--frobenius", type=_positive, required=True, metavar="F")
     p.add_argument(
         "--set", type=_int_list, required=True, metavar="A,B,C",
         help="comma-separated integers in 1..F-1",
@@ -364,7 +368,7 @@ def build_parser() -> argparse.ArgumentParser:
         "min-gens", parents=[common],
         help="minimal generating system and rank of a member given by its small elements",
     )
-    p.add_argument("--frobenius", type=int, required=True, metavar="F")
+    p.add_argument("--frobenius", type=_positive, required=True, metavar="F")
     p.add_argument(
         "--small", type=_int_list, required=True, metavar="A,B,C",
         help="comma-separated nonzero members below F",

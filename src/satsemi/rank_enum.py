@@ -11,11 +11,48 @@ gcd(d_i / d_{i+1}, t_{i+1}) = 1, produces the minimal system
 Distinct witnesses can give the same semigroup (a larger t1 can trade
 against a smaller t2 for the same partial sums), but those with t1 = 1
 are in bijection with the rank-p members: a member's minimal system
-forces n1 = d1 and then each t_i = (n_i - n_{i-1}) / d_i.  Enumerating
-all chains with entry sum below F, and per chain the coefficient tuples
-with t1 = 1, therefore lists every rank-p member exactly once, and its
-small elements follow from the minimal system as the progressions
-n_i, n_i + d_i, .. below n_{i+1}.
+forces n1 = d1 and then each t_i = (n_i - n_{i-1}) / d_i.  Its small
+elements follow from the minimal system as the progressions
+n_i, n_i + d_i, .. below n_{i+1}, the last one running below F.
+
+``enumerate_rank`` does not list witnesses.  It searches the minimal
+systems directly, depth first.  A state is the last generator n placed
+and its prefix gcd d (the root is n = d = 0, with gcd(0, n1) = n1).  The
+next generator is any n' with n < n' < F and d not dividing n', and the
+state becomes (n', gcd(d, n')).  This is the t1 = 1 witness restated:
+since d | n, gcd(d, n') = d' exactly when t' = (n' - n) / d' is coprime
+to d / d'.  After p generators the state is a member iff its d does not
+divide F.
+
+No branch is dead.  Whether a state (n, h) with r generators left can be
+completed depends on n only through a bound: it can iff n < bound_r(h).
+With none left, bound_0(h) is F if h does not divide F and 0 if it does.
+For r >= 1, bound_r(h) is the top bit of nxt[r][h] (none if it is
+empty), the bitmap of the n' < F with h not dividing n' and
+n' < bound_{r-1}(gcd(h, n')).  The search only ever steps to a bit of
+that table, so every state it enters reaches a member.
+
+The table is built from multiples alone, because bounds only grow along
+divisibility: if h | h', every continuation of (n, h) also continues
+(n, h').  (By induction on r: h not dividing n'' implies h' does not
+either, and gcd(h, n'') divides gcd(h', n'').)  So bound_r(h) <=
+bound_r(h').  Now an n' with gcd(d, n') = h is a multiple of every
+divisor g of h.  Hence n' lies in the OR, over the divisors 1 < g < d
+of d, of the multiples of g below bound_{r-1}(g), exactly when n' is
+below bound_{r-1}(h) (for h = 1 never, and nothing completes from a
+gcd of 1).  Removing the multiples of d leaves nxt[r][d].
+
+The search comes out in canonical order, ascending by small elements,
+with no sort.  Take two siblings, continued with next generators
+a' < b'.  They share the small elements up to the progression of n
+below a'.  Through a', the next small element is a'.  Through b', it is
+the next term of the progression or b', and both exceed a': a' is not a
+term, since d | n and d does not divide a'.  So every member through a'
+sorts before every member through b', and trying n' in ascending order
+is canonical.  For the same reason, stopping at n (running its
+progression to F) sorts after every continuation, so a search that may
+also stop early tries "stop" last; with the rank fixed, a branch stops
+only after its p-th generator.
 """
 
 from __future__ import annotations
@@ -26,7 +63,9 @@ from typing import Sequence
 from .errors import NotASatSequence
 from .extremal import least_non_divisor
 from .satsets import closure
-from .semigroup import NumericalSemigroup, ordinary, sort_masks
+from .semigroup import NumericalSemigroup, _set_bits, ordinary
+
+_raw = NumericalSemigroup._raw
 
 __all__ = [
     "is_sat_sequence",
@@ -59,6 +98,8 @@ def list_sequences(frobenius: int, length: int) -> list[tuple[int, ...]]:
     """
     if frobenius < 1 or length < 1:
         raise ValueError("need frobenius >= 1 and length >= 1")
+    if not feasible_rank(frobenius, length):
+        return []
     found: list[tuple[int, ...]] = []
 
     def grow(chain: list[int], total: int) -> None:
@@ -84,12 +125,16 @@ def feasible_rank(frobenius: int, p: int) -> bool:
     """Does the family contain a member of rank p?
 
     For p >= 1 this is a * (2**p - 1) < F with a the least non-divisor
-    of F; rank 0 (the ordinary semigroup) always exists.
+    of F; rank 0 (the ordinary semigroup) always exists.  As a >= 2, no
+    p beyond the bit length of F passes, and such a p is refused before
+    2**p is built.
     """
     if frobenius < 1 or p < 0:
         raise ValueError("need frobenius >= 1 and p >= 0")
     if p == 0:
         return True
+    if p > frobenius.bit_length():
+        return False
     return least_non_divisor(frobenius) * ((1 << p) - 1) < frobenius
 
 
@@ -172,27 +217,86 @@ def enumerate_rank(frobenius: int, p: int) -> list[NumericalSemigroup]:
     """All members of the family with the given rank, ascending by small
     elements.
 
-    Each member has exactly one witness with t1 = 1: its minimal system
-    fixes the chain as its prefix gcds and n1 = d1, and then every
-    t_i = (n_i - n_{i-1}) / d_i is forced.  Those witnesses therefore list
-    the rank class once each, and each member is read off its minimal
-    system directly: the small elements are the progressions n_i + k*d_i
-    below n_{i+1}, the last one running below F.
+    A depth-first search over minimal systems n1 < .. < np, trying the
+    next generator in ascending order from the table of ``_next_table``,
+    so that every branch it enters ends in a member and the members come
+    out in canonical order (see the module docstring).  Each step ORs
+    the progression n, n + d, .. below the next generator into the
+    member's bitmap; a leaf adds the last progression, which runs below F.
     """
     if frobenius < 1 or p < 0:
         raise ValueError("need frobenius >= 1 and p >= 0")
     if p == 0:
         return [ordinary(frobenius + 1)]
-    masks = []
-    for ds in list_sequences(frobenius, p):
-        for ts in coefficient_tuples(frobenius, ds):
-            if ts[0] != 1:
-                break  # the tuples ascend, so all with t1 = 1 came first
-            gens = witness_generators(ds, ts)
-            mask = 1 | (1 << (frobenius + 1))
-            for n, d, end in zip(gens, ds, gens[1:] + (frobenius,)):
-                count = (end - n + d - 1) // d
-                mask |= ((1 << (count * d)) - 1) // ((1 << d) - 1) << n
-            masks.append(mask)
-    sort_masks(frobenius, masks)
-    return [NumericalSemigroup._raw(frobenius, mask) for mask in masks]
+    if not feasible_rank(frobenius, p):
+        return []
+    low = [(1 << x) - 1 for x in range(frobenius + 1)]
+    # mult[g]: the multiples of g in g..F-1; mult[0] is empty, so the root
+    # state (n, d) = (0, 0) lays no progression and gcd(0, n1) = n1
+    mult = [0] + [
+        ((1 << ((frobenius - 1) // g * g)) - 1) // ((1 << g) - 1) << g
+        for g in range(1, frobenius)
+    ]
+    rows = _next_table(frobenius, p, mult, low)
+    out: list[NumericalSemigroup] = []
+    _grow(out, frobenius, rows, mult, low, 0, 0, 1 | (1 << (frobenius + 1)), p)
+    return out
+
+
+def _next_table(
+    frobenius: int, p: int, mult: list[int], low: list[int]
+) -> list[list[int]]:
+    """rows[r][d], for 1 <= r < p and 1 <= d < F, is the bitmap of the
+    next generators n' < F a state with prefix gcd d can take when r
+    generators remain, n' among them: d does not divide n', and the state
+    (n', gcd(d, n')) can still be completed with r - 1 more.  rows[p][0]
+    is the bitmap of the first generators.
+    """
+    F = frobenius
+    divisors: list[list[int]] = [[] for _ in range(F)]  # proper, above 1
+    for g in range(2, F):
+        for d in range(2 * g, F, g):
+            divisors[d].append(g)
+    # a state (n, d) with r generators left can be completed iff
+    # n < bound[d]; with none left iff d does not divide F
+    bound = [F if d and F % d else 0 for d in range(F)]
+    rows: list[list[int]] = [[]]
+    for _ in range(p - 1):
+        # the OR of the multiples of each divisor g below bound[g] keeps
+        # exactly the n' below bound[gcd(d, n')] (see the module docstring)
+        row = []
+        for d, gs in enumerate(divisors):
+            acc = 0
+            for g in gs:
+                b = bound[g]
+                if b > g:
+                    acc |= mult[g] & low[b]
+            row.append(acc & ~mult[d])
+        rows.append(row)
+        bound = [nexts.bit_length() - 1 for nexts in row]
+    first = sum(1 << d for d in range(2, F) if d < bound[d])
+    rows.append([first])
+    return rows
+
+
+def _grow(
+    out: list[NumericalSemigroup],
+    frobenius: int,
+    rows: list[list[int]],
+    mult: list[int],
+    low: list[int],
+    n: int,
+    d: int,
+    mask: int,
+    r: int,
+) -> None:
+    # from state (n, d) with r generators left and the small elements
+    # below n in mask, append every member it completes to, in order
+    step = mult[d] & ~low[n]
+    for m in _set_bits(rows[r][d] & ~low[n + 1]):
+        child = mask | (step & low[m])
+        g = math.gcd(d, m)
+        if r > 1:
+            _grow(out, frobenius, rows, mult, low, m, g, child, r - 1)
+        else:
+            out.append(_raw(frobenius, child | (mult[g] & ~low[m])))

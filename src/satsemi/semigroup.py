@@ -391,16 +391,3 @@ def _set_bits(mask: int) -> list[int]:
     # binary digits, lowest first, become 0/1 bytes that select positions
     bits = format(mask, "b")[::-1].encode().translate(_BIT_BYTES)
     return list(compress(range(len(bits)), bits))
-
-
-def sort_masks(frobenius: int, masks: list[int]) -> None:
-    """Sort membership bitmaps in place, ascending by small-element list.
-
-    The key spells membership of 1..F+1 as a string; its first
-    difference between two bitmaps is the least element in one of them
-    only, which the list order puts first, so the order is the reverse
-    string order.  That matches the list order whenever no list is a
-    proper prefix of another, as within a genus or within a rank class.
-    """
-    width = f"0{frobenius + 1}b"
-    masks.sort(key=lambda mask: format(mask >> 1, width)[::-1], reverse=True)

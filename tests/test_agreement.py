@@ -3,7 +3,8 @@ F = 83 and 101, above the Frobenius numbers the golden digests pin.
 
 The two paths share no code: the walk adjoins special gaps layer by
 layer and orders each layer by grouping children, the rank enumerator
-builds each member from its t1 = 1 witness and sorts.
+searches minimal systems depth first and lists each class in canonical
+order with no sort.
 """
 
 from satsemi.rank_enum import enumerate_rank, feasible_rank

@@ -124,7 +124,10 @@ def test_one_pass_record_matches_general_path():
         closure(199, []),
     ]
     for S in members:
-        assert list(_record(S).items()) == list(general_record(S).items()), S
+        want = general_record(S)
+        assert list(_record(S).items()) == list(want.items()), S
+        del want["gaps"]  # text and csv print no gaps
+        assert list(_record(S, gaps=False).items()) == list(want.items()), S
 
 
 @pytest.mark.parametrize("f", [1, 2, 7, 40, 83])
@@ -185,6 +188,8 @@ def test_rank_subcommand():
         "0,4,6,8→ | msg=⟨4,6,9,11⟩ | g=5 | rank=2",
         "1",
     ]
+    # a rank past the bit length of F is refused before 2**p is built
+    assert run_cli("rank", "--frobenius", "7", "--rank", "1000000000000") == (0, "0\n")
 
 
 def test_feasible_subcommand():
@@ -297,6 +302,8 @@ def test_color_env_decorates_verify_only(monkeypatch):
         (("genus", "--frobenius", "7", "--genus", "-1"), 2, "argument --genus: must be at least 0"),
         (("min-gens", "--frobenius", "7", "--small", "2,4,6,9"), 1, "error: small element 9 outside 1..6"),
         (("min-gens", "--frobenius", "7", "--small", "0"), 1, "error: small element 0 outside 1..6"),
+        (("closure", "--frobenius", "0", "--set", "1"), 2, "argument --frobenius: must be at least 1"),
+        (("min-gens", "--frobenius", "-2", "--small", "1"), 2, "argument --frobenius: must be at least 1"),
     ],
 )
 def test_bad_input_gives_one_line_diagnostic(monkeypatch, capsys, argv, code, message):

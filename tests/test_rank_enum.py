@@ -1,3 +1,4 @@
+import gc
 import math
 from itertools import product
 
@@ -15,7 +16,7 @@ from satsemi.rank_enum import (
     witness_to_semigroup,
 )
 from satsemi.satsets import closure, minimal_system
-from satsemi.semigroup import ordinary
+from satsemi.semigroup import NumericalSemigroup, ordinary
 
 
 def naive_is_chain(frobenius, ds):
@@ -62,6 +63,7 @@ def test_is_sat_sequence_matches_definition():
 def test_list_sequences_examples():
     assert list_sequences(18, 3) == []
     assert list_sequences(7, 2) == [(4, 2)]
+    assert list_sequences(7, 10**12) == []  # refused before 2**p is built
     for f in (5, 9, 12):
         want = [(d,) for d in range(2, f) if f % d]
         assert list_sequences(f, 1) == want
@@ -82,6 +84,7 @@ def test_feasible_rank_examples():
     assert not feasible_rank(18, 3)
     assert feasible_rank(7, 2)
     assert feasible_rank(9, 0)
+    assert not feasible_rank(7, 10**12)
     with pytest.raises(ValueError):
         feasible_rank(0, 1)
     with pytest.raises(ValueError):
@@ -190,6 +193,7 @@ def test_leading_coefficient_one_witnesses_biject():
 def test_enumerate_rank_examples(du):
     assert enumerate_rank(7, 2) == [du(7, 4, 6)]
     assert enumerate_rank(18, 3) == []
+    assert enumerate_rank(7, 10**12) == []
     assert enumerate_rank(7, 0) == [ordinary(8)]
     assert set(enumerate_rank(7, 1)) == {tooth(m, 8) for m in (2, 3, 4, 5, 6)}
     with pytest.raises(ValueError):
@@ -213,3 +217,42 @@ def test_enumerate_rank_partitions_family(corpus):
                 seen[S] = p
             p += 1
         assert set(seen) == family
+
+
+def reference_rank_class(frobenius, p):
+    # every t1 = 1 witness, its progressions ORed into a bitmap, then sorted
+    members = []
+    for ds in list_sequences(frobenius, p):
+        for ts in coefficient_tuples(frobenius, ds):
+            if ts[0] != 1:
+                continue
+            gens = witness_generators(ds, ts)
+            mask = 1 | (1 << (frobenius + 1))
+            for n, d, end in zip(gens, ds, gens[1:] + (frobenius,)):
+                mask |= sum(1 << x for x in range(n, end, d))
+            members.append(NumericalSemigroup._raw(frobenius, mask))
+    return sorted(members, key=lambda S: S.nonzero_small_elements())
+
+
+def test_enumerate_rank_matches_witness_reference():
+    for f in [*range(1, 61), 101, 150]:
+        p = 1
+        while True:
+            members = enumerate_rank(f, p)
+            assert members == reference_rank_class(f, p), (f, p)
+            if not members:
+                break
+            p += 1
+
+
+def test_enumerate_rank_leaves_no_garbage_cycle():
+    # a search function that calls itself as a closure would hold the
+    # result list in a reference cycle, which only the cyclic collector
+    # frees, and that raises peak memory
+    gc.collect()
+    gc.disable()
+    try:
+        enumerate_rank(101, 3)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
