@@ -15,7 +15,6 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import math
 import os
 import sys
 from typing import Iterable
@@ -24,8 +23,8 @@ from .errors import SemigroupError
 from .extremal import maximal_elements, min_genus
 from .oracle import check_all, refuse_above_limit
 from .rank_enum import enumerate_rank, feasible_rank
-from .satsets import closure, minimal_system
-from .semigroup import NumericalSemigroup, _set_bits
+from .satsets import _drops, closure, minimal_system
+from .semigroup import NumericalSemigroup, _apery_mask, _set_bits
 from .tree import enumerate_sat_genus, iter_sat
 
 SEMIGROUP_CSV_COLUMNS = (
@@ -51,23 +50,15 @@ def _record(S: NumericalSemigroup, gaps: bool = True) -> dict:
     and an Arf semigroup has maximal embedding dimension (Rosales and
     Garcia-Sanchez, Numerical Semigroups, 2009, ch. 3): its minimal
     generators are the multiplicity m together with the nonzero elements
-    of the Apery set of m, the members w with w - m not a member.  Every
-    such w is at most F + m, so the implicit tail is made explicit for m
-    bits past F + 1.  The minimal system is where the running gcd of the
-    small elements drops, as in ``minimal_system``.
+    of ``semigroup._apery_mask`` of m.  The minimal system is
+    ``satsets._drops`` of the small elements, as in ``minimal_system``.
     """
     F = S.frobenius
     mask = S._mask
     small = _set_bits(mask & ((1 << F) - 2))
     m = small[0] if small else F + 1
-    ext = mask | ((1 << m) - 1) << (F + 2)
-    msg = _set_bits((ext & ~(ext << m) & ~1) | (1 << m))
-    system = small[:1]
-    g = m
-    for s in small:
-        if s % g:
-            g = math.gcd(g, s)
-            system.append(s)
+    msg = _set_bits((_apery_mask(F, mask, m) & ~1) | 1 << m)
+    system = _drops(small)
     rec = {
         "frobenius": F,
         "small_elements": small,
@@ -163,7 +154,10 @@ def _emit_value(fmt: str, columns: tuple[str, ...], record: dict, text: str) -> 
     elif fmt == "csv":
         writer = csv.writer(sys.stdout, lineterminator="\n")
         writer.writerow(columns)
-        writer.writerow([record[c] for c in columns])
+        row = [record[c] for c in columns]
+        writer.writerow(
+            [";".join(map(str, v)) if isinstance(v, list) else v for v in row]
+        )
     else:
         print(text)
 
@@ -247,9 +241,7 @@ def _cmd_min_gens(args: argparse.Namespace) -> int:
         {
             "frobenius": args.frobenius,
             "rank": len(system.elements),
-            "sat_msg": ";".join(map(str, system.elements))
-            if args.format == "csv"
-            else list(system.elements),
+            "sat_msg": list(system.elements),
         },
         f"sat_msg=⟨{elems}⟩ | rank={len(system.elements)}",
     )
@@ -406,6 +398,10 @@ def main(argv: list[str] | None = None) -> int:
         return args.run(args)
     except SemigroupError as err:
         print(f"error: {err}", file=sys.stderr)
+        return 1
+    except (MemoryError, OverflowError):
+        # a bitmap over 0..F+1 cannot be built, e.g. for F = 10**18
+        print("error: the input is too large to represent", file=sys.stderr)
         return 1
 
 

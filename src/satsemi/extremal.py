@@ -10,6 +10,7 @@ step.
 from __future__ import annotations
 
 from .errors import NotRepresentable
+from .satsets import closure
 from .semigroup import NumericalSemigroup, ordinary
 
 __all__ = [
@@ -37,11 +38,9 @@ def tooth(step: int, conductor: int) -> NumericalSemigroup:
             break
     if not frobenius:
         raise NotRepresentable("every nonnegative integer is in the set")
-    mask = 0
-    for i in range(frobenius + 2):
-        if i % step == 0 or i >= conductor:
-            mask |= 1 << i
-    return NumericalSemigroup(frobenius, mask)
+    # F+1 .. conductor-1 are multiples of step, so the set is the closure
+    # of {step}; a step past F leaves only 0 below F+1
+    return closure(frobenius, [step] if step < frobenius else [])
 
 
 def non_divisors(n: int) -> tuple[int, ...]:

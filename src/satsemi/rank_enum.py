@@ -290,8 +290,12 @@ def _grow(
     mask: int,
     r: int,
 ) -> None:
-    # from state (n, d) with r generators left and the small elements
-    # below n in mask, append every member it completes to, in order
+    """From state (n, d) with r generators left and the small elements
+    below n in mask, append every member it completes to, in order.
+
+    A member's bitmap is built progression by progression as the search
+    descends, and must equal ``satsets._fill`` of its minimal system.
+    """
     step = mult[d] & ~low[n]
     for m in _set_bits(rows[r][d] & ~low[n + 1]):
         child = mask | (step & low[m])

@@ -13,15 +13,21 @@ F+1 on is included.  Conversely, scanning any saturated member for the
 positions where the running gcd of its members drops recovers the unique
 minimal set that generates it this way; the size of that set is the rank
 of the member.
+
+Each direction has one implementation on the membership bitmap: ``_fill``
+lays the progressions of a set and ``_drops`` picks the gcd drops of an
+ascending list.  Every caller outside the two enumeration kernels goes
+through them; the kernels (``tree._expand``, ``rank_enum._grow``) keep
+incremental forms that must agree with them.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Iterable, NamedTuple
+from typing import Iterable, NamedTuple, Sequence
 
 from .errors import NotASatFSet, NotSaturated, WrongFrobenius
-from .semigroup import NumericalSemigroup, ordinary
+from .semigroup import NumericalSemigroup, _set_bits
 
 __all__ = [
     "SatFSet",
@@ -42,6 +48,31 @@ class SatFSet(NamedTuple):
 
 def _normalized(xs: Iterable[int]) -> tuple[int, ...]:
     return tuple(sorted(set(xs)))
+
+
+def _fill(frobenius: int, ns: Sequence[int]) -> int:
+    """The bitmap of 0, the progressions n_i, n_i + g_i, .. below n_{i+1}
+    (the last one below F), and F+1, where ns is ascending and g_i is the
+    gcd of its first i elements.
+    """
+    mask = 1 | 1 << (frobenius + 1)
+    g = 0
+    for n, stop in zip(ns, (*ns[1:], frobenius)):
+        g = math.gcd(g, n)
+        terms = (stop - n + g - 1) // g
+        mask |= ((1 << terms * g) - 1) // ((1 << g) - 1) << n
+    return mask
+
+
+def _drops(small: list[int]) -> list[int]:
+    """The elements of an ascending list at which its running gcd drops."""
+    picks = small[:1]
+    g = picks[0] if picks else 1
+    for s in small:
+        if s % g:
+            g = math.gcd(g, s)
+            picks.append(s)
+    return picks
 
 
 def is_sat_set(frobenius: int, xs: Iterable[int]) -> bool:
@@ -72,15 +103,7 @@ def closure(frobenius: int, xs: Iterable[int]) -> NumericalSemigroup:
         raise NotASatFSet(
             f"{list(ns)} extends to no saturated semigroup with Frobenius number {frobenius}"
         )
-    if not ns:
-        return ordinary(frobenius + 1)
-    small: list[int] = []
-    g = 0
-    for i, n in enumerate(ns):
-        g = math.gcd(g, n)
-        stop = ns[i + 1] if i + 1 < len(ns) else frobenius
-        small.extend(range(n, stop, g))
-    return NumericalSemigroup.from_small_elements(frobenius, small)
+    return NumericalSemigroup(frobenius, _fill(frobenius, ns))
 
 
 def minimal_system(
@@ -99,15 +122,8 @@ def minimal_system(
         )
     if not S.is_saturated():
         raise NotSaturated(f"{S!r} is not saturated")
-    picks: list[int] = []
-    g = 0
-    for s in range(1, S.frobenius):
-        if s in S:
-            g2 = math.gcd(g, s)
-            if g2 != g:
-                picks.append(s)
-                g = g2
-    return SatFSet(S.frobenius, tuple(picks))
+    small = _set_bits(S._mask & ((1 << S.frobenius) - 2))
+    return SatFSet(S.frobenius, tuple(_drops(small)))
 
 
 def is_minimal_system(frobenius: int, xs: Iterable[int]) -> bool:
@@ -116,18 +132,12 @@ def is_minimal_system(frobenius: int, xs: Iterable[int]) -> bool:
     Happens precisely when every element strictly drops the running gcd
     of the prefix.  Raises NotASatFSet on unusable input.
     """
-    ns = _normalized(xs)
+    ns = list(_normalized(xs))
     if not is_sat_set(frobenius, ns):
         raise NotASatFSet(
-            f"{list(ns)} extends to no saturated semigroup with Frobenius number {frobenius}"
+            f"{ns} extends to no saturated semigroup with Frobenius number {frobenius}"
         )
-    g = 0
-    for n in ns:
-        g2 = math.gcd(g, n)
-        if g2 == g:
-            return False
-        g = g2
-    return True
+    return _drops(ns) == ns
 
 
 def rank(S: NumericalSemigroup, frobenius: int | None = None) -> int:

@@ -123,26 +123,25 @@ class NumericalSemigroup:
         if gs[0] == 1:
             raise NotRepresentable("1 generates all of N")
         m = gs[0]
+        # Schur's bound F <= (m - 1)(g_max - 1) - 1: the run of m members
+        # that starts at the conductor lies inside [1, m * g_max]
         bound = m * gs[-1]
-        while True:
-            reach = 1
-            for i in range(m, bound + 1):
-                for g in gs:
-                    if g > i:
-                        break
-                    if (reach >> (i - g)) & 1:
-                        reach |= 1 << i
-                        break
-            run = reach
-            for k in range(1, m):
-                run &= reach >> k
-            run &= ~1
-            if run:
-                # everything from the start of an m-long run on is a member
-                conductor = (run & -run).bit_length() - 1
-                frobenius = max(i for i in range(1, conductor) if not (reach >> i) & 1)
-                return cls(frobenius, reach & ((1 << (frobenius + 2)) - 1))
-            bound *= 2
+        reach = 1
+        for i in range(m, bound + 1):
+            for g in gs:
+                if g > i:
+                    break
+                if (reach >> (i - g)) & 1:
+                    reach |= 1 << i
+                    break
+        run = reach
+        for k in range(1, m):
+            run &= reach >> k
+        run &= ~1
+        # everything from the start of an m-long run on is a member
+        conductor = (run & -run).bit_length() - 1
+        frobenius = max(i for i in range(1, conductor) if not (reach >> i) & 1)
+        return cls(frobenius, reach & ((1 << (frobenius + 2)) - 1))
 
     # -- membership and counting ------------------------------------------
 
@@ -218,20 +217,9 @@ class NumericalSemigroup:
         """Least member of each residue class mod n, for a nonzero member n."""
         if n <= 0 or n not in self:
             raise NotAMember(f"{n} is not a nonzero member")
-        entries: list[int] = [-1] * n
-        remaining = n
-        for s in self.members_up_to(self.frobenius + 1):
-            r = s % n
-            if entries[r] < 0:
-                entries[r] = s
-                remaining -= 1
-                if not remaining:
-                    break
-        if remaining:
-            base = self.frobenius + 2
-            for r in range(n):
-                if entries[r] < 0:
-                    entries[r] = base + (r - base) % n
+        entries = [0] * n
+        for w in _set_bits(_apery_mask(self.frobenius, self._mask, n)):
+            entries[w % n] = w
         return AperyTable(n, tuple(entries))
 
     def pseudo_frobenius(self) -> tuple[int, ...]:
@@ -381,6 +369,14 @@ def ordinary(conductor: int) -> NumericalSemigroup:
     if conductor < 2:
         raise NotRepresentable(f"{{0, {conductor}, ->}} is all of N")
     return NumericalSemigroup._raw(conductor - 1, 1 | (1 << conductor))
+
+
+def _apery_mask(frobenius: int, mask: int, n: int) -> int:
+    # the Apery set of the nonzero member n as a bitmap: the members w
+    # with w - n not a member; each is at most F + n, so the tail is
+    # written out for n bits past F + 1
+    ext = mask | ((1 << n) - 1) << (frobenius + 2)
+    return ext & ~(ext << n)
 
 
 _BIT_BYTES = bytes.maketrans(b"01", b"\0\1")

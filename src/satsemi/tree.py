@@ -82,7 +82,7 @@ from concurrent.futures import ProcessPoolExecutor
 from typing import Iterator
 
 from .errors import PreconditionViolated, ResidueClassMissing
-from .extremal import least_non_divisor
+from .extremal import min_genus
 from .semigroup import NumericalSemigroup, ordinary
 
 __all__ = [
@@ -171,8 +171,12 @@ def child_msg(msg: tuple[int, ...], x: int) -> tuple[int, ...]:
 def _expand(
     frobenius: int, mask: int, chain: _Chain, groups: list[list[tuple[int, _Chain]]]
 ) -> None:
-    # append each child of one node, as (bitmap, chain), to the group of
-    # its multiplicity x; see the module docstring for stages 1-3
+    """Append each child of one node, as (bitmap, chain), to the group of
+    its multiplicity x; see the module docstring for stages 1-3.
+
+    A chain is built link by link from the parent's, and its n_i must
+    equal ``satsets._drops`` of the child's small elements.
+    """
     m = chain[0][0] if chain else frobenius + 1
     n2 = chain[1][0] if len(chain) > 1 else frobenius + 1
     lo = (m + 1) // 2
@@ -238,13 +242,12 @@ def enumerate_sat(frobenius: int) -> list[NumericalSemigroup]:
 def enumerate_sat_genus(frobenius: int, genus: int) -> list[NumericalSemigroup]:
     """The members with the given genus; empty when the genus is unreachable.
 
-    Genus g occurs exactly for F - floor(F/p) <= g <= F with p the least
-    non-divisor of F, and the walk stops at depth F - g.
+    Genus g occurs exactly for min_genus(F) <= g <= F, and the walk stops
+    at depth F - g.
     """
     if frobenius < 1:
         raise ValueError("frobenius must be >= 1")
-    floor = frobenius - frobenius // least_non_divisor(frobenius)
-    if genus > frobenius or genus < floor:
+    if genus > frobenius or genus < min_genus(frobenius):
         return []
     target = frobenius - genus
     for depth, layer in enumerate(iter_layers(frobenius)):

@@ -304,6 +304,10 @@ def test_color_env_decorates_verify_only(monkeypatch):
         (("min-gens", "--frobenius", "7", "--small", "0"), 1, "error: small element 0 outside 1..6"),
         (("closure", "--frobenius", "0", "--set", "1"), 2, "argument --frobenius: must be at least 1"),
         (("min-gens", "--frobenius", "-2", "--small", "1"), 2, "argument --frobenius: must be at least 1"),
+        (("enumerate", "--frobenius", str(10**18)), 1, "error: the input is too large to represent"),
+        (("closure", "--frobenius", str(10**18), "--set", "3"), 1, "error: the input is too large to represent"),
+        (("enumerate", "--frobenius", str(10**30)), 1, "error: the input is too large to represent"),
+        (("closure", "--frobenius", str(10**30), "--set", "3"), 1, "error: the input is too large to represent"),
     ],
 )
 def test_bad_input_gives_one_line_diagnostic(monkeypatch, capsys, argv, code, message):

@@ -46,6 +46,25 @@ def test_tooth_saturated_with_expected_frobenius():
                 assert T.genus == f - f // a
 
 
+def test_tooth_is_the_literal_set():
+    # every step and conductor up to 30, including conductors one past a
+    # multiple of the step and steps at or beyond the conductor
+    for c in range(1, 31):
+        for step in range(1, 32):
+            def member(x):
+                return x % step == 0 or x >= c
+
+            if member(1):
+                with pytest.raises(NotRepresentable):
+                    tooth(step, c)
+                continue
+            T = tooth(step, c)
+            assert T.frobenius == max(x for x in range(c) if not member(x))
+            assert [x in T for x in range(c + step + 2)] == [
+                member(x) for x in range(c + step + 2)
+            ]
+
+
 def test_non_divisors_30():
     got = non_divisors(30)
     assert got == A30

@@ -1,4 +1,5 @@
 import math
+from itertools import count
 
 import pytest
 
@@ -199,6 +200,28 @@ def test_apery_med_relation(corpus):
         m = S.multiplicity
         table = set(S.apery(m).entries)
         assert table == {0} | (set(S.minimal_generators()) - {m})
+
+
+def test_apery_definition_beyond_saturated():
+    # every numerical semigroup with F <= 12, saturated or not, and every
+    # nonzero member n <= F+2: entry i is the least member congruent to i
+    nonsaturated = 0
+    for f in range(1, 13):
+        for bits in range(1 << (f - 1)):
+            small = [s for s in range(1, f) if (bits >> (s - 1)) & 1]
+            try:
+                S = NumericalSemigroup.from_small_elements(f, small)
+            except NotClosed:
+                continue
+            nonsaturated += not S.is_saturated()
+            for n in range(1, f + 3):
+                if n not in S:
+                    continue
+                want = tuple(
+                    next(s for s in count(i, n) if s in S) for i in range(n)
+                )
+                assert S.apery(n) == (n, want)
+    assert nonsaturated > 0
 
 
 def test_apery_rejects_nonmembers():
