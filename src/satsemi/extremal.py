@@ -51,9 +51,27 @@ def non_divisors(n: int) -> tuple[int, ...]:
 
 
 def minimal_non_divisors(n: int) -> tuple[int, ...]:
-    """Non-divisors of n divisible by no smaller non-divisor, ascending."""
-    nd = non_divisors(n)
-    return tuple(x for x in nd if all(x % y for y in nd if y < x))
+    """Non-divisors of n divisible by no smaller non-divisor, ascending.
+
+    Such an x has every proper divisor dividing n.  Two coprime factors
+    of x above 1 would both divide n, and so would x; so x is a prime
+    power p**k with p**(k-1) | n, that is p**(v_p(n)+1) <= n.  Those are
+    read off a prime sieve.
+    """
+    if n < 1:
+        raise ValueError("n must be positive")
+    is_prime = bytearray([1]) * (n + 1)
+    powers = []
+    for p in range(2, n + 1):
+        if not is_prime[p]:
+            continue
+        is_prime[p * p :: p] = bytes(len(range(p * p, n + 1, p)))
+        q = p
+        while n % q == 0:
+            q *= p
+        if q <= n:
+            powers.append(q)
+    return tuple(sorted(powers))
 
 
 def maximal_elements(frobenius: int) -> list[NumericalSemigroup]:

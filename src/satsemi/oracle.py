@@ -5,6 +5,20 @@ additive closure of {0} | T | {F+1, ->} first, then saturation in three
 equivalent formulations that must agree with each other.  The predicates
 here work on raw bitmaps and deliberately share no code with the fast
 modules they are used to validate.
+
+The closure test is bit-sliced (Biham, FSE 1997): it decides all
+N = 2**(F-1) subsets at once.  Lane b of an N-bit int stands for the
+subset T_b = {i : bit i-1 of b is set}, and ``X[i]`` has lane b set iff
+i is in T_b, for 1 <= i <= F-1, while ``X[F] = 0`` since F is never in
+the set.  One ``&`` or ``|`` then decides a pair condition for every
+subset, and the non-closed lanes are
+
+    bad = OR over 1 <= a <= b, a + b <= F of X[a] & X[b] & ~X[a+b].
+
+This is the literal test.  {0} | T | {F+1, ->} fails to be closed iff
+some a, b >= 1 in the set have a + b <= F+1 missing (larger sums are
+present).  F is absent, so a, b <= F-1 lie in T; F+1 is present, so
+a + b <= F.  The condition is symmetric in a and b, so a <= b suffices.
 """
 
 from __future__ import annotations
@@ -27,14 +41,35 @@ def _member(mask: int, frobenius: int, v: int) -> bool:
     return v >= 0 and (v > frobenius + 1 or (mask >> v) & 1 == 1)
 
 
-def _closed(mask: int, frobenius: int) -> bool:
-    limit = frobenius + 1
-    window = (1 << (limit + 1)) - 1
-    body = mask & ~1
-    for a in range(1, limit // 2 + 1):
-        if (mask >> a) & 1 and (body << a) & window & ~mask:
-            return False
-    return True
+def _closed_masks(frobenius: int) -> list[int]:
+    """The additively closed subset bitmaps at this F, by ascending subset."""
+    lanes = 1 << (frobenius - 1)
+    full = (1 << lanes) - 1
+    X = [full] * (frobenius + 1)
+    X[frobenius] = 0
+    for i in range(1, frobenius):
+        # period 2w: w clear lanes, then w set lanes; doubled out to N lanes
+        w = 1 << (i - 1)
+        v, span = ((1 << w) - 1) << w, 2 * w
+        while span < lanes:
+            v |= v << span
+            span *= 2
+        X[i] = v
+    bad = 0
+    for a in range(1, frobenius // 2 + 1):
+        hit = 0
+        for b in range(a, frobenius - a + 1):
+            hit |= X[b] & ~X[a + b]
+        bad |= X[a] & hit
+    # lane b is character b of the reversed binary string
+    lane_bits = bin(full & ~bad)[:1:-1]
+    base = 1 | (1 << (frobenius + 1))
+    out = []
+    b = lane_bits.find("1")
+    while b >= 0:
+        out.append(base | (b << 1))
+        b = lane_bits.find("1", b + 1)
+    return out
 
 
 def _prefix_gcds(members: list[int]) -> list[int]:
@@ -77,18 +112,15 @@ def refuse_above_limit(frobenius: int) -> None:
 def brute_force_sat(frobenius: int) -> list[NumericalSemigroup]:
     """Every saturated semigroup with this Frobenius number, by subset search.
 
-    Candidates are the 2**(F-1) subsets of {1..F-1}; above F=20 the
-    search is refused (TooLarge).
+    Candidates are the 2**(F-1) subsets of {1..F-1}, all tested for
+    closure at once (see the module docstring); above F=20 the search is
+    refused (TooLarge).
     """
     if frobenius < 1:
         raise ValueError("frobenius must be >= 1")
     refuse_above_limit(frobenius)
-    base = 1 | (1 << (frobenius + 1))
     found = []
-    for bits in range(1 << max(0, frobenius - 1)):
-        mask = base | (bits << 1)
-        if not _closed(mask, frobenius):
-            continue
+    for mask in _closed_masks(frobenius):
         members = [i for i in range(1, frobenius + 2) if (mask >> i) & 1]
         gcds = _prefix_gcds(members)
         votes = (

@@ -9,7 +9,41 @@ from satsemi.semigroup import NumericalSemigroup, ordinary
 GOLDEN_COUNTS = {
     1: 1, 2: 1, 3: 2, 4: 2, 5: 4, 6: 3, 7: 7, 8: 5,
     9: 9, 10: 8, 11: 16, 12: 7, 13: 21, 14: 14, 15: 25, 16: 18,
+    17: 39, 18: 16, 19: 50, 20: 22,
 }
+
+# numerical semigroups with Frobenius number F = 1..20, OEIS A124506
+A124506 = (
+    1, 1, 2, 2, 5, 4, 11, 10, 21, 22,
+    51, 40, 106, 103, 200, 205, 465, 405, 961, 900,
+)
+
+
+def _closed(mask, frobenius):
+    """False iff some nonzero a, b in the bitmap have a + b <= F+1 missing."""
+    limit = frobenius + 1
+    window = (1 << (limit + 1)) - 1
+    body = mask & ~1
+    for a in range(1, limit // 2 + 1):
+        if (mask >> a) & 1 and (body << a) & window & ~mask:
+            return False
+    return True
+
+
+def test_bit_sliced_closure_matches_literal_test():
+    for f in range(1, 17):
+        base = 1 | (1 << (f + 1))
+        want = [
+            base | (b << 1)
+            for b in range(1 << (f - 1))
+            if _closed(base | (b << 1), f)
+        ]
+        assert oracle._closed_masks(f) == want, f
+
+
+def test_closed_subset_counts_are_a124506():
+    got = tuple(len(oracle._closed_masks(f)) for f in range(1, 21))
+    assert got == A124506
 
 
 def test_brute_force_sat7_exact(corpus):
@@ -56,7 +90,7 @@ def test_brute_force_bounds():
 
 
 def test_check_all_clean():
-    for f in (7, 10):
+    for f in (7, 10, 17, 18, 19, 20):
         report = check_all(f)
         assert report.ok
         assert report.discrepancies == []
