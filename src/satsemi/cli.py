@@ -24,7 +24,13 @@ from .extremal import maximal_elements, min_genus
 from .oracle import check_all, refuse_above_limit
 from .rank_enum import enumerate_rank, feasible_rank
 from .satsets import _drops, closure, minimal_system
-from .semigroup import NumericalSemigroup, _apery_mask, _set_bits
+from .semigroup import (
+    NumericalSemigroup,
+    _apery_mask,
+    _gap_window,
+    _set_bits,
+    _small_window,
+)
 from .tree import enumerate_sat_genus, iter_sat
 
 SEMIGROUP_CSV_COLUMNS = (
@@ -55,7 +61,7 @@ def _record(S: NumericalSemigroup, gaps: bool = True) -> dict:
     """
     F = S.frobenius
     mask = S._mask
-    small = _set_bits(mask & ((1 << F) - 2))
+    small = _set_bits(mask & _small_window(F))
     m = small[0] if small else F + 1
     msg = _set_bits((_apery_mask(F, mask, m) & ~1) | 1 << m)
     system = _drops(small)
@@ -67,7 +73,7 @@ def _record(S: NumericalSemigroup, gaps: bool = True) -> dict:
         "multiplicity": m,
     }
     if gaps:
-        rec["gaps"] = _set_bits(~mask & ((1 << (F + 1)) - 2))
+        rec["gaps"] = _set_bits(~mask & _gap_window(F))
     rec["sat_msg"] = system
     rec["embedding_dimension"] = len(msg)
     rec["rank"] = len(system)
@@ -313,13 +319,14 @@ def build_parser() -> argparse.ArgumentParser:
         "--sort", choices=("canonical",), default="canonical",
         help="output order; only the canonical order exists",
     )
+    with_frobenius = argparse.ArgumentParser(add_help=False, parents=[common])
+    with_frobenius.add_argument("--frobenius", type=_positive, required=True, metavar="F")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser(
-        "enumerate", parents=[common],
+        "enumerate", parents=[with_frobenius],
         help="all saturated semigroups with Frobenius number F",
     )
-    p.add_argument("--frobenius", type=_positive, required=True, metavar="F")
     p.add_argument(
         "--stream", action="store_true",
         help="json: one object per line instead of an array; text: no count footer",
@@ -327,29 +334,25 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(run=_cmd_enumerate)
 
     p = sub.add_parser(
-        "genus", parents=[common], help="the members with a fixed genus"
+        "genus", parents=[with_frobenius], help="the members with a fixed genus"
     )
-    p.add_argument("--frobenius", type=_positive, required=True, metavar="F")
     p.add_argument("--genus", type=_nonnegative, required=True, metavar="G")
     p.set_defaults(run=_cmd_genus)
 
     p = sub.add_parser(
-        "maximal", parents=[common], help="the inclusion-maximal members"
+        "maximal", parents=[with_frobenius], help="the inclusion-maximal members"
     )
-    p.add_argument("--frobenius", type=_positive, required=True, metavar="F")
     p.set_defaults(run=_cmd_maximal)
 
     p = sub.add_parser(
-        "min-genus", parents=[common], help="the least genus in the family"
+        "min-genus", parents=[with_frobenius], help="the least genus in the family"
     )
-    p.add_argument("--frobenius", type=_positive, required=True, metavar="F")
     p.set_defaults(run=_cmd_min_genus)
 
     p = sub.add_parser(
-        "closure", parents=[common],
+        "closure", parents=[with_frobenius],
         help="least member containing the given set",
     )
-    p.add_argument("--frobenius", type=_positive, required=True, metavar="F")
     p.add_argument(
         "--set", type=_int_list, required=True, metavar="A,B,C",
         help="comma-separated integers in 1..F-1",
@@ -357,10 +360,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(run=_cmd_closure)
 
     p = sub.add_parser(
-        "min-gens", parents=[common],
+        "min-gens", parents=[with_frobenius],
         help="minimal generating system and rank of a member given by its small elements",
     )
-    p.add_argument("--frobenius", type=_positive, required=True, metavar="F")
     p.add_argument(
         "--small", type=_int_list, required=True, metavar="A,B,C",
         help="comma-separated nonzero members below F",
@@ -368,17 +370,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(run=_cmd_min_gens)
 
     p = sub.add_parser(
-        "rank", parents=[common], help="the members with a fixed rank"
+        "rank", parents=[with_frobenius], help="the members with a fixed rank"
     )
-    p.add_argument("--frobenius", type=_positive, required=True, metavar="F")
     p.add_argument("--rank", type=_nonnegative, required=True, metavar="P")
     p.set_defaults(run=_cmd_rank)
 
     p = sub.add_parser(
-        "feasible", parents=[common],
+        "feasible", parents=[with_frobenius],
         help="whether any member has the given rank",
     )
-    p.add_argument("--frobenius", type=_positive, required=True, metavar="F")
     p.add_argument("--rank", type=_nonnegative, required=True, metavar="P")
     p.set_defaults(run=_cmd_feasible)
 

@@ -27,7 +27,7 @@ import math
 from typing import Iterable, NamedTuple, Sequence
 
 from .errors import NotASatFSet, NotSaturated, WrongFrobenius
-from .semigroup import NumericalSemigroup, _set_bits
+from .semigroup import NumericalSemigroup, _set_bits, _small_window
 
 __all__ = [
     "SatFSet",
@@ -122,7 +122,7 @@ def minimal_system(
         )
     if not S.is_saturated():
         raise NotSaturated(f"{S!r} is not saturated")
-    small = _set_bits(S._mask & ((1 << S.frobenius) - 2))
+    small = _set_bits(S._mask & _small_window(S.frobenius))
     return SatFSet(S.frobenius, tuple(_drops(small)))
 
 

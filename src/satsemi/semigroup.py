@@ -8,6 +8,12 @@ F+1 belongs automatically.  Instances store that window as a bitmap
 packed into one int: membership is a shift and a mask, and set-level
 operations run on machine words.
 
+Every list of positions read off a bitmap comes from ``_set_bits``, and
+the windows it reads are named once: ``_small_window`` for the nonzero
+members below F, ``_gap_window`` for the places a gap can sit.  Where a
+computation needs members past F+1, ``_ext`` writes out that many bits
+of the implicit tail.
+
 The set of all nonnegative integers has no largest gap and is therefore
 not representable; constructors reject it.
 """
@@ -69,14 +75,14 @@ class NumericalSemigroup:
             raise ValueError("frobenius+1 must be a member")
         if (mask >> frobenius) & 1:
             raise FrobeniusViolated(f"{frobenius} cannot be a member")
-        limit = frobenius + 1
+        # a sum a + b <= F + 1 has its smaller term a <= (F + 1) // 2
+        half = (1 << ((frobenius + 1) // 2 + 1)) - 2
         body = mask & ~1
-        for a in range(1, limit // 2 + 1):
-            if (mask >> a) & 1:
-                missing = (body << a) & window & ~mask
-                if missing:
-                    s = (missing & -missing).bit_length() - 1
-                    raise NotClosed(f"{a} + {s - a} = {s} is missing")
+        for a in _set_bits(mask & half):
+            missing = (body << a) & window & ~mask
+            if missing:
+                s = (missing & -missing).bit_length() - 1
+                raise NotClosed(f"{a} + {s - a} = {s} is missing")
         self.frobenius = frobenius
         self._mask = mask
 
@@ -122,25 +128,20 @@ class NumericalSemigroup:
             raise GcdNotOne(f"gcd{tuple(gs)} != 1")
         if gs[0] == 1:
             raise NotRepresentable("1 generates all of N")
-        m = gs[0]
-        # Schur's bound F <= (m - 1)(g_max - 1) - 1: the run of m members
-        # that starts at the conductor lies inside [1, m * g_max]
-        bound = m * gs[-1]
+        # Schur's bound F <= (m - 1)(g_max - 1) - 1 < m * g_max: every
+        # value from F+1 up to the window's top is a member, so the window's
+        # highest missing value is F
+        top = gs[0] * gs[-1]
+        window = (1 << (top + 1)) - 1
         reach = 1
-        for i in range(m, bound + 1):
-            for g in gs:
-                if g > i:
-                    break
-                if (reach >> (i - g)) & 1:
-                    reach |= 1 << i
-                    break
-        run = reach
-        for k in range(1, m):
-            run &= reach >> k
-        run &= ~1
-        # everything from the start of an m-long run on is a member
-        conductor = (run & -run).bit_length() - 1
-        frobenius = max(i for i in range(1, conductor) if not (reach >> i) & 1)
+        for g in gs:
+            # after the steps g, 2g, .., 2^k g every sum has gained up to
+            # 2^(k+1) - 1 copies of g; a step past the top adds nothing
+            step = g
+            while step <= top:
+                reach |= (reach << step) & window
+                step *= 2
+        frobenius = (~reach & window).bit_length() - 1
         return cls(frobenius, reach & ((1 << (frobenius + 2)) - 1))
 
     # -- membership and counting ------------------------------------------
@@ -155,11 +156,9 @@ class NumericalSemigroup:
     def members_up_to(self, bound: int) -> Iterator[int]:
         """Yield every member s with 0 <= s <= bound, ascending."""
         top = min(bound, self.frobenius + 1)
-        for i in range(top + 1):
-            if (self._mask >> i) & 1:
-                yield i
-        for i in range(self.frobenius + 2, bound + 1):
-            yield i
+        if top >= 0:
+            yield from _set_bits(self._mask & ((1 << (top + 1)) - 1))
+        yield from range(self.frobenius + 2, bound + 1)
 
     @property
     def multiplicity(self) -> int:
@@ -184,13 +183,11 @@ class NumericalSemigroup:
 
     def nonzero_small_elements(self) -> tuple[int, ...]:
         """Members strictly between 0 and the Frobenius number, ascending."""
-        return tuple(i for i in range(1, self.frobenius) if (self._mask >> i) & 1)
+        return tuple(_set_bits(self._mask & _small_window(self.frobenius)))
 
     def gaps(self) -> tuple[int, ...]:
         """The finitely many nonmembers, ascending."""
-        return tuple(
-            i for i in range(1, self.frobenius + 1) if not (self._mask >> i) & 1
-        )
+        return tuple(_set_bits(~self._mask & _gap_window(self.frobenius)))
 
     # -- generators and Apery structure -----------------------------------
 
@@ -202,16 +199,12 @@ class NumericalSemigroup:
         on, every value splits as (F+1) plus another member.
         """
         F = self.frobenius
-        limit = 2 * F + 1
-        ext = self._mask | ((1 << F) - 1) << (F + 2)
-        window = (1 << (limit + 1)) - 1
-        body = ext & ~1
+        # a sum up to 2F+1 has a term below F, since F is a gap
+        body = _ext(F, self._mask, F) & ~1
         sums = 0
-        for a in range(1, F + 1):
-            if (self._mask >> a) & 1:
-                sums |= body << a
-        gens = body & ~(sums & window)
-        return tuple(i for i in range(1, limit + 1) if (gens >> i) & 1)
+        for a in _set_bits(self._mask & _small_window(F)):
+            sums |= body << a
+        return tuple(_set_bits(body & ~sums))
 
     def apery(self, n: int) -> AperyTable:
         """Least member of each residue class mod n, for a nonzero member n."""
@@ -225,30 +218,24 @@ class NumericalSemigroup:
     def pseudo_frobenius(self) -> tuple[int, ...]:
         """Gaps z with z + s a member for every nonzero member s, ascending.
 
-        Computed from the Apery table of the multiplicity: subtract the
-        multiplicity from the entries maximal under the partial order
-        "difference is a member".
+        Computed from that definition on the bitmap: start from all gaps
+        and, for each nonzero member s below F, keep the z with z + s a
+        member.  A member s >= F+1 constrains nothing, since z + s >= F+2
+        is always a member.
         """
-        n = self.multiplicity
-        ap = self.apery(n).entries
-        ap_set = frozenset(ap)
-        nonzero = [w for w in ap if w]
-        out = [
-            w - n
-            for w in nonzero
-            if all(w + w2 not in ap_set for w2 in nonzero)
-        ]
-        out.sort()
-        return tuple(out)
+        F = self.frobenius
+        ext = _ext(F, self._mask, F)
+        pf = ~self._mask & _gap_window(F)
+        for s in _set_bits(self._mask & _small_window(F)):
+            pf &= ext >> s
+        return tuple(_set_bits(pf))
 
     def special_gaps(self) -> tuple[int, ...]:
         """Gaps whose adjunction leaves a numerical semigroup, ascending.
 
         These are the pseudo-Frobenius numbers whose double is a member.
         """
-        pf = self.pseudo_frobenius()
-        pf_set = frozenset(pf)
-        return tuple(x for x in pf if 2 * x not in pf_set)
+        return tuple(x for x in self.pseudo_frobenius() if 2 * x in self)
 
     def gcd_up_to(self, s: int) -> int:
         """gcd of all members <= s; s itself must be a nonzero member."""
@@ -273,11 +260,10 @@ class NumericalSemigroup:
         is 1 and the successor is always present.
         """
         g = 0
-        for s in range(1, self.frobenius + 1):
-            if (self._mask >> s) & 1:
-                g = math.gcd(g, s)
-                if s + g not in self:
-                    return False
+        for s in _set_bits(self._mask & _small_window(self.frobenius)):
+            g = math.gcd(g, s)
+            if s + g not in self:
+                return False
         return True
 
     def is_med(self) -> bool:
@@ -291,12 +277,8 @@ class NumericalSemigroup:
     # -- derived semigroups -------------------------------------------------
 
     def _filled(self, frobenius: int) -> int:
-        # bitmap over 0..frobenius+1 with the implicit tail made explicit
-        width = frobenius + 2
-        own = self.frobenius + 2
-        if width <= own:
-            return self._mask
-        return self._mask | (((1 << (width - own)) - 1) << own)
+        # bitmap over 0..frobenius+1, for frobenius >= self.frobenius
+        return _ext(self.frobenius, self._mask, frobenius - self.frobenius)
 
     def intersect(self, other: "NumericalSemigroup") -> "NumericalSemigroup":
         """Set intersection; its Frobenius number is the larger of the two."""
@@ -371,11 +353,25 @@ def ordinary(conductor: int) -> NumericalSemigroup:
     return NumericalSemigroup._raw(conductor - 1, 1 | (1 << conductor))
 
 
+def _small_window(frobenius: int) -> int:
+    # bits 1..F-1: where the nonzero small elements sit
+    return (1 << frobenius) - 2
+
+
+def _gap_window(frobenius: int) -> int:
+    # bits 1..F: where the gaps sit
+    return (1 << (frobenius + 1)) - 2
+
+
+def _ext(frobenius: int, mask: int, k: int) -> int:
+    # the bitmap with the implicit tail written out for k bits past F+1
+    return mask | ((1 << k) - 1) << (frobenius + 2)
+
+
 def _apery_mask(frobenius: int, mask: int, n: int) -> int:
     # the Apery set of the nonzero member n as a bitmap: the members w
-    # with w - n not a member; each is at most F + n, so the tail is
-    # written out for n bits past F + 1
-    ext = mask | ((1 << n) - 1) << (frobenius + 2)
+    # with w - n not a member; each is at most F + n
+    ext = _ext(frobenius, mask, n)
     return ext & ~(ext << n)
 
 

@@ -1,5 +1,5 @@
 import math
-from itertools import count
+from itertools import combinations, count
 
 import pytest
 
@@ -11,6 +11,7 @@ from satsemi.errors import (
     NotRepresentable,
     WouldChangeFrobenius,
 )
+from satsemi.oracle import _closed_masks
 from satsemi.semigroup import NumericalSemigroup, ordinary
 
 
@@ -82,6 +83,21 @@ def test_from_small_elements_rejects_open_sums():
         NumericalSemigroup.from_small_elements(9, [3, 5])  # 3 + 5 = 8 missing
 
 
+def test_constructor_accepts_exactly_the_closed_masks():
+    # the bit-sliced subset search of the oracle shares no code with the
+    # constructor; every subset of 1..F-1 is tried, so the last member the
+    # closure loop visits, (F+1) // 2, is covered at every F
+    for f in range(1, 15):
+        closed = set(_closed_masks(f))
+        for b in range(1 << (f - 1)):
+            mask = 1 | b << 1 | 1 << (f + 1)
+            if mask in closed:
+                assert NumericalSemigroup(f, mask)._mask == mask
+            else:
+                with pytest.raises(NotClosed):
+                    NumericalSemigroup(f, mask)
+
+
 def test_from_small_elements_rejects_bad_values():
     with pytest.raises(FrobeniusViolated):
         NumericalSemigroup.from_small_elements(7, [7])
@@ -109,6 +125,24 @@ def test_from_generators_smallest():
     S = NumericalSemigroup.from_generators([2, 3])
     assert S.frobenius == 1
     assert 2 in S and 3 in S and 1 not in S
+
+
+def test_from_generators_matches_reachability_scan():
+    # x is a member when x - g is one for some generator g; past the
+    # product of the least and largest generators every value is a member
+    for size in (2, 3):
+        for gens in combinations(range(2, 16), size):
+            if math.gcd(*gens) != 1:
+                continue
+            top = gens[0] * gens[-1]
+            reach = [True]
+            for x in range(1, top + 1):
+                reach.append(any(x >= g and reach[x - g] for g in gens))
+            frobenius = max(x for x in range(top + 1) if not reach[x])
+            S = NumericalSemigroup.from_generators(gens)
+            assert S.frobenius == frobenius
+            members = [x for x in range(frobenius + 2) if reach[x]]
+            assert list(S.members_up_to(frobenius + 1)) == members
 
 
 def test_from_generators_errors():
@@ -393,6 +427,14 @@ def test_membership_semantics(du):
     assert 1 not in S and 7 not in S and -3 not in S
     assert S.nonzero_small_elements() == (2, 4, 6)
     assert S.gaps() == (1, 3, 5, 7)
+
+
+def test_members_up_to_edges(corpus):
+    for f in range(1, 10):
+        for S in corpus(f):
+            for bound in (-2, -1, 0, f, f + 1, f + 3):
+                expected = [x for x in range(bound + 1) if x in S]
+                assert list(S.members_up_to(bound)) == expected
 
 
 def test_canonical_text(du):
