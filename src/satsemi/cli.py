@@ -13,11 +13,9 @@ lines are never decorated.
 from __future__ import annotations
 
 import argparse
-import csv
-import json
 import os
 import sys
-from typing import Iterable
+from typing import Callable, Iterable, Iterator
 
 from .errors import SemigroupError
 from .extremal import maximal_elements, min_genus
@@ -80,25 +78,25 @@ def _record(S: NumericalSemigroup, gaps: bool = True) -> dict:
     return rec
 
 
-def _text_line(rec: dict) -> str:
-    members = ",".join(
-        map(str, [0, *rec["small_elements"], rec["frobenius"] + 1])
-    )
-    msg = ",".join(map(str, rec["msg"]))
+def _text_line(rec: dict, label: Callable[[int], str]) -> str:
+    small = ",".join(map(label, rec["small_elements"]))
+    top = label(rec["frobenius"] + 1)
+    members = f"0,{small},{top}" if small else f"0,{top}"
+    msg = ",".join(map(label, rec["msg"]))
     return (
         f"{members}→ | msg=⟨{msg}⟩"
-        f" | g={rec['genus']} | rank={rec['rank']}"
+        f" | g={rec['genus']} | rank={rec['rank']}\n"
     )
 
 
-def _json_block(rec: dict) -> str:
+def _json_block(rec: dict, label: Callable[[int], str]) -> str:
     # json.dumps(rec, indent=2) as it sits in the top-level array, for a
     # record whose values are ints or lists of ints
     fields = []
     for key, value in rec.items():
         if isinstance(value, list):
             value = (
-                "[\n      " + ",\n      ".join(map(str, value)) + "\n    ]"
+                "[\n      " + ",\n      ".join(map(label, value)) + "\n    ]"
                 if value
                 else "[]"
             )
@@ -106,58 +104,89 @@ def _json_block(rec: dict) -> str:
     return "  {\n" + ",\n".join(fields) + "\n  }"
 
 
-def _json_line(rec: dict) -> str:
-    # json.dumps(rec): for a dict with identifier keys and values that are
-    # ints or lists of ints, repr differs from it only in the quote mark
-    return repr(rec).replace("'", '"')
-
-
-def _csv_row(rec: dict) -> list:
-    return [
-        rec["frobenius"],
-        rec["genus"],
-        rec["multiplicity"],
-        rec["embedding_dimension"],
-        rec["rank"],
-        ";".join(map(str, rec["small_elements"])),
-        ";".join(map(str, rec["msg"])),
-        ";".join(map(str, rec["sat_msg"])),
+def _json_line(rec: dict, label: Callable[[int], str]) -> str:
+    # json.dumps(rec), for a record whose values are ints or lists of ints
+    fields = [
+        f'"{key}": [' + ", ".join(map(label, value)) + "]"
+        if isinstance(value, list)
+        else f'"{key}": {value}'
+        for key, value in rec.items()
     ]
+    return "{" + ", ".join(fields) + "}\n"
+
+
+def _csv_row(rec: dict, label: Callable[[int], str]) -> str:
+    # what csv.writer writes: no field holds a comma, quote or line break
+    return (
+        f"{rec['frobenius']},{rec['genus']},{rec['multiplicity']},"
+        f"{rec['embedding_dimension']},{rec['rank']},"
+        + ";".join(map(label, rec["small_elements"])) + ","
+        + ";".join(map(label, rec["msg"])) + ","
+        + ";".join(map(label, rec["sat_msg"])) + "\n"
+    )
+
+
+def _labelled_records(
+    semigroups: Iterable[NumericalSemigroup], frobenius: int, gaps: bool
+) -> Iterator[tuple[dict, Callable[[int], str]]]:
+    # each record with the function that spells its list entries: str for
+    # the first, then a table of 0..2F+1 built once, so that a one-record
+    # command at huge F never builds it
+    label = str
+    for k, S in enumerate(semigroups):
+        if k == 1:
+            label = [str(i) for i in range(2 * frobenius + 2)].__getitem__
+        yield _record(S, gaps), label
 
 
 def _emit_semigroups(
-    semigroups: Iterable[NumericalSemigroup], fmt: str, stream: bool = False
+    semigroups: Iterable[NumericalSemigroup],
+    frobenius: int,
+    fmt: str,
+    stream: bool = False,
 ) -> None:
+    """Write members of Sat(F), F = ``frobenius``, in the given format.
+
+    One F per call: every member must have Frobenius number F.  From the
+    second record on, list entries are spelled from one table of the
+    labels 0..2F+1, which covers them all: small elements and gaps lie
+    below F+1, and a minimal generator is the multiplicity m <= F+1 or a
+    member of its Apery set, so it is at most F + m <= 2F+1.
+    """
+    out = sys.stdout
+    records = _labelled_records(semigroups, frobenius, gaps=fmt == "json")
     if fmt == "text":
         count = 0
-        for S in semigroups:
-            print(_text_line(_record(S, gaps=False)))
+        for rec, label in records:
+            out.write(_text_line(rec, label))
             count += 1
         if not stream:
-            print(count)
+            out.write(f"{count}\n")
     elif fmt == "json":
-        out = sys.stdout
         if stream:
-            for S in semigroups:
-                out.write(_json_line(_record(S)) + "\n")
+            for rec, label in records:
+                out.write(_json_line(rec, label))
         else:
             # record by record, so the array is never held in memory
             sep = "[\n"
-            for S in semigroups:
-                out.write(sep + _json_block(_record(S)))
+            for rec, label in records:
+                out.write(sep + _json_block(rec, label))
                 sep = ",\n"
             out.write("[]\n" if sep == "[\n" else "\n]\n")
     else:
-        writer = csv.writer(sys.stdout, lineterminator="\n")
-        writer.writerow(SEMIGROUP_CSV_COLUMNS)
-        for S in semigroups:
-            writer.writerow(_csv_row(_record(S, gaps=False)))
+        out.write(",".join(SEMIGROUP_CSV_COLUMNS) + "\n")
+        for rec, label in records:
+            out.write(_csv_row(rec, label))
 
 
 def _emit_value(fmt: str, columns: tuple[str, ...], record: dict, text: str) -> None:
     if fmt == "json":
+        import json
+
         print(json.dumps(record))
     elif fmt == "csv":
+        import csv
+
         writer = csv.writer(sys.stdout, lineterminator="\n")
         writer.writerow(columns)
         row = [record[c] for c in columns]
@@ -203,17 +232,21 @@ _nonnegative = _int_at_least(0)
 
 
 def _cmd_enumerate(args: argparse.Namespace) -> int:
-    _emit_semigroups(iter_sat(args.frobenius), args.format, stream=args.stream)
+    _emit_semigroups(
+        iter_sat(args.frobenius), args.frobenius, args.format, stream=args.stream
+    )
     return 0
 
 
 def _cmd_genus(args: argparse.Namespace) -> int:
-    _emit_semigroups(enumerate_sat_genus(args.frobenius, args.genus), args.format)
+    _emit_semigroups(
+        enumerate_sat_genus(args.frobenius, args.genus), args.frobenius, args.format
+    )
     return 0
 
 
 def _cmd_maximal(args: argparse.Namespace) -> int:
-    _emit_semigroups(maximal_elements(args.frobenius), args.format)
+    _emit_semigroups(maximal_elements(args.frobenius), args.frobenius, args.format)
     return 0
 
 
@@ -229,7 +262,9 @@ def _cmd_min_genus(args: argparse.Namespace) -> int:
 
 
 def _cmd_closure(args: argparse.Namespace) -> int:
-    _emit_semigroups([closure(args.frobenius, args.set)], args.format)
+    _emit_semigroups(
+        [closure(args.frobenius, args.set)], args.frobenius, args.format
+    )
     return 0
 
 
@@ -255,7 +290,9 @@ def _cmd_min_gens(args: argparse.Namespace) -> int:
 
 
 def _cmd_rank(args: argparse.Namespace) -> int:
-    _emit_semigroups(enumerate_rank(args.frobenius, args.rank), args.format)
+    _emit_semigroups(
+        enumerate_rank(args.frobenius, args.rank), args.frobenius, args.format
+    )
     return 0
 
 
@@ -275,8 +312,12 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     reports = [check_all(f) for f in range(1, args.max_frobenius + 1)]
     all_ok = all(r.ok for r in reports)
     if args.format == "json":
+        import json
+
         print(json.dumps([r.to_json() for r in reports], indent=2))
     elif args.format == "csv":
+        import csv
+
         writer = csv.writer(sys.stdout, lineterminator="\n")
         writer.writerow(("frobenius", "semigroup_count", "ok", "discrepancies"))
         for r in reports:

@@ -75,10 +75,6 @@ the walk does not call them either.
 from __future__ import annotations
 
 import math
-# Unused: the traced benchmark wraps this name to count pool starts
-# (tree.pools_started).  Remove the import when the benchmark retires
-# that metric.
-from concurrent.futures import ProcessPoolExecutor
 from typing import Iterator
 
 from .errors import PreconditionViolated, ResidueClassMissing
@@ -98,6 +94,19 @@ __all__ = [
 
 # a node's gcd-drop chain: the (n_i, d_i) links of the module docstring
 _Chain = tuple[tuple[int, int], ...]
+
+
+def __getattr__(name: str):
+    # The walk starts no process pool, but the traced benchmark still looks
+    # up tree.ProcessPoolExecutor to count pool starts (tree.pools_started).
+    # Importing concurrent.futures eagerly cost every command about a third
+    # of its start-up, so the name is resolved only when asked for.  Delete
+    # this hook when the benchmark retires that metric (ROADMAP item 1).
+    if name == "ProcessPoolExecutor":
+        from concurrent.futures import ProcessPoolExecutor
+
+        return ProcessPoolExecutor
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def special_gaps_from_msg(

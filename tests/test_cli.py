@@ -1,3 +1,4 @@
+import csv
 import io
 import json
 import os
@@ -9,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import satsemi
-from satsemi.cli import _emit_semigroups, _json_line, _record, main
+from satsemi.cli import SEMIGROUP_CSV_COLUMNS, _emit_semigroups, _json_line, _record, main
 from satsemi.extremal import maximal_elements
 from satsemi.satsets import closure, minimal_system
 from satsemi.semigroup import NumericalSemigroup
@@ -146,13 +147,76 @@ def test_empty_json_array():
 
 def test_json_line_matches_compact_encoder():
     for f in range(1, 61):
+        labels = [str(i) for i in range(2 * f + 2)].__getitem__
         for S in enumerate_sat(f):
             rec = _record(S)
-            assert _json_line(rec) == json.dumps(rec), S
+            assert _json_line(rec, str) == json.dumps(rec) + "\n", S
+            assert _json_line(rec, labels) == json.dumps(rec) + "\n", S
     out = io.StringIO()
     with redirect_stdout(out):
-        _emit_semigroups([], "json", stream=True)
+        _emit_semigroups([], 7, "json", stream=True)
     assert out.getvalue() == ""
+
+
+def reference_text_line(rec):
+    # the text formatter as it was before the label table
+    members = ",".join(
+        map(str, [0, *rec["small_elements"], rec["frobenius"] + 1])
+    )
+    msg = ",".join(map(str, rec["msg"]))
+    return (
+        f"{members}→ | msg=⟨{msg}⟩"
+        f" | g={rec['genus']} | rank={rec['rank']}"
+    )
+
+
+def reference_csv_row(rec):
+    return [
+        rec["frobenius"],
+        rec["genus"],
+        rec["multiplicity"],
+        rec["embedding_dimension"],
+        rec["rank"],
+        ";".join(map(str, rec["small_elements"])),
+        ";".join(map(str, rec["msg"])),
+        ";".join(map(str, rec["sat_msg"])),
+    ]
+
+
+def reference_output(members, fmt, stream):
+    out = io.StringIO()
+    if fmt == "text":
+        for S in members:
+            out.write(reference_text_line(_record(S, gaps=False)) + "\n")
+        if not stream:
+            out.write(f"{len(members)}\n")
+    elif fmt == "json" and stream:
+        for S in members:
+            out.write(json.dumps(_record(S)) + "\n")
+    elif fmt == "json":
+        out.write(json.dumps([_record(S) for S in members], indent=2) + "\n")
+    else:
+        writer = csv.writer(out, lineterminator="\n")
+        writer.writerow(SEMIGROUP_CSV_COLUMNS)
+        writer.writerows(reference_csv_row(_record(S, gaps=False)) for S in members)
+    return out.getvalue()
+
+
+FORMATS = [("text", False), ("text", True), ("json", False), ("json", True), ("csv", False)]
+
+
+@pytest.mark.parametrize("fmt, stream", FORMATS)
+def test_formatters_match_reference_encoders(fmt, stream):
+    # whole families spell entries from the label table from the second
+    # record on; each member alone, and the one-member families F=1, 2,
+    # take the path without a table
+    for f in range(1, 41):
+        family = enumerate_sat(f)
+        for members in [family, *([S] for S in family)]:
+            out = io.StringIO()
+            with redirect_stdout(out):
+                _emit_semigroups(members, f, fmt, stream=stream)
+            assert out.getvalue() == reference_output(members, fmt, stream), (f, members[0])
 
 
 def test_json_array_written_record_by_record():
@@ -164,7 +228,7 @@ def test_json_array_written_record_by_record():
             yield S
 
     with redirect_stdout(out):
-        _emit_semigroups(produce(), "json")
+        _emit_semigroups(produce(), 12, "json")
     assert json.loads(out.getvalue()) == [_record(S) for S in enumerate_sat(12)]
 
 
@@ -248,11 +312,7 @@ def test_sort_flag_reserved():
     assert code == 0
 
 
-def test_jobs_outputs_byte_identical(monkeypatch):
-    def no_pool(*args, **kwargs):
-        raise AssertionError("enumeration started a process pool")
-
-    monkeypatch.setattr("satsemi.tree.ProcessPoolExecutor", no_pool)
+def test_jobs_outputs_byte_identical():
     runs = [
         run_cli("enumerate", "--frobenius", "12", "--jobs", str(jobs))[1]
         for jobs in (1, 3, 3)
@@ -260,15 +320,30 @@ def test_jobs_outputs_byte_identical(monkeypatch):
     assert runs[0] == runs[1] == runs[2]
 
 
-def test_cli_import_skips_dataclasses():
-    # dataclasses costs about 10 ms of start-up for every command
+def fresh_interpreter(code):
     src = str(Path(satsemi.__file__).resolve().parent.parent)
     env = {**os.environ, "PYTHONPATH": src}
-    code = "import satsemi.cli, sys; print('dataclasses' in sys.modules)"
-    out = subprocess.run(
+    return subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     ).stdout
-    assert out == "False\n"
+
+
+def test_cli_import_skips_dataclasses():
+    # dataclasses costs about 10 ms of start-up for every command
+    code = "import satsemi.cli, sys; print('dataclasses' in sys.modules)"
+    assert fresh_interpreter(code) == "False\n"
+
+
+def test_commands_start_no_process_pool():
+    # concurrent.futures cost about a third of every command's start-up,
+    # and --jobs starts no pool, so no command may import it
+    code = (
+        "import sys; from satsemi.cli import main; "
+        "main(['enumerate', '--frobenius', '12', '--jobs', '3']); "
+        "main(['min-genus', '--frobenius', '12']); "
+        "print('concurrent.futures' in sys.modules)"
+    )
+    assert fresh_interpreter(code).splitlines()[-1] == "False"
 
 
 def test_color_env_decorates_verify_only(monkeypatch):
