@@ -127,34 +127,32 @@ def _csv_row(rec: dict, label: Callable[[int], str]) -> str:
 
 
 def _labelled_records(
-    semigroups: Iterable[NumericalSemigroup], frobenius: int, gaps: bool
+    semigroups: Iterable[NumericalSemigroup], gaps: bool
 ) -> Iterator[tuple[dict, Callable[[int], str]]]:
     # each record with the function that spells its list entries: str for
-    # the first, then a table of 0..2F+1 built once, so that a one-record
-    # command at huge F never builds it
+    # the first, then a table of 0..2F+1 built once from the second
+    # record's F, so that a one-record command at huge F never builds it
     label = str
     for k, S in enumerate(semigroups):
         if k == 1:
-            label = [str(i) for i in range(2 * frobenius + 2)].__getitem__
+            label = [str(i) for i in range(2 * S.frobenius + 2)].__getitem__
         yield _record(S, gaps), label
 
 
 def _emit_semigroups(
-    semigroups: Iterable[NumericalSemigroup],
-    frobenius: int,
-    fmt: str,
-    stream: bool = False,
+    semigroups: Iterable[NumericalSemigroup], fmt: str, stream: bool = False
 ) -> None:
-    """Write members of Sat(F), F = ``frobenius``, in the given format.
+    """Write members of one Sat(F) in the given format.
 
-    One F per call: every member must have Frobenius number F.  From the
-    second record on, list entries are spelled from one table of the
-    labels 0..2F+1, which covers them all: small elements and gaps lie
-    below F+1, and a minimal generator is the multiplicity m <= F+1 or a
-    member of its Apery set, so it is at most F + m <= 2F+1.
+    One F per call: every member must have the same Frobenius number F.
+    From the second record on, list entries are spelled from one table of
+    the labels 0..2F+1, built from that record's F, which covers them
+    all: small elements and gaps lie below F+1, and a minimal generator
+    is the multiplicity m <= F+1 or a member of its Apery set, so it is
+    at most F + m <= 2F+1.
     """
     out = sys.stdout
-    records = _labelled_records(semigroups, frobenius, gaps=fmt == "json")
+    records = _labelled_records(semigroups, gaps=fmt == "json")
     if fmt == "text":
         count = 0
         for rec, label in records:
@@ -232,21 +230,17 @@ _nonnegative = _int_at_least(0)
 
 
 def _cmd_enumerate(args: argparse.Namespace) -> int:
-    _emit_semigroups(
-        iter_sat(args.frobenius), args.frobenius, args.format, stream=args.stream
-    )
+    _emit_semigroups(iter_sat(args.frobenius), args.format, stream=args.stream)
     return 0
 
 
 def _cmd_genus(args: argparse.Namespace) -> int:
-    _emit_semigroups(
-        enumerate_sat_genus(args.frobenius, args.genus), args.frobenius, args.format
-    )
+    _emit_semigroups(enumerate_sat_genus(args.frobenius, args.genus), args.format)
     return 0
 
 
 def _cmd_maximal(args: argparse.Namespace) -> int:
-    _emit_semigroups(maximal_elements(args.frobenius), args.frobenius, args.format)
+    _emit_semigroups(maximal_elements(args.frobenius), args.format)
     return 0
 
 
@@ -262,9 +256,7 @@ def _cmd_min_genus(args: argparse.Namespace) -> int:
 
 
 def _cmd_closure(args: argparse.Namespace) -> int:
-    _emit_semigroups(
-        [closure(args.frobenius, args.set)], args.frobenius, args.format
-    )
+    _emit_semigroups([closure(args.frobenius, args.set)], args.format)
     return 0
 
 
@@ -290,9 +282,7 @@ def _cmd_min_gens(args: argparse.Namespace) -> int:
 
 
 def _cmd_rank(args: argparse.Namespace) -> int:
-    _emit_semigroups(
-        enumerate_rank(args.frobenius, args.rank), args.frobenius, args.format
-    )
+    _emit_semigroups(enumerate_rank(args.frobenius, args.rank), args.format)
     return 0
 
 

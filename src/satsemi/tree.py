@@ -97,11 +97,14 @@ _Chain = tuple[tuple[int, int], ...]
 
 
 def __getattr__(name: str):
-    # The walk starts no process pool, but the traced benchmark still looks
-    # up tree.ProcessPoolExecutor to count pool starts (tree.pools_started).
-    # Importing concurrent.futures eagerly cost every command about a third
-    # of its start-up, so the name is resolved only when asked for.  Delete
-    # this hook when the benchmark retires that metric (ROADMAP item 1).
+    # The walk starts no process pool.  This hook exists only so that the
+    # traced benchmark finds tree.ProcessPoolExecutor and prints no
+    # `absent` line: it rebinds names it finds in the module's dict, and
+    # this one is never stored there, so tree.pools_started can no longer
+    # count anything.  Importing concurrent.futures eagerly cost every
+    # command about a third of its start-up, so the name is resolved only
+    # when asked for.  Delete this hook when the benchmark retires that
+    # metric (ROADMAP item 1).
     if name == "ProcessPoolExecutor":
         from concurrent.futures import ProcessPoolExecutor
 

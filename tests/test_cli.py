@@ -154,7 +154,7 @@ def test_json_line_matches_compact_encoder():
             assert _json_line(rec, labels) == json.dumps(rec) + "\n", S
     out = io.StringIO()
     with redirect_stdout(out):
-        _emit_semigroups([], 7, "json", stream=True)
+        _emit_semigroups([], "json", stream=True)
     assert out.getvalue() == ""
 
 
@@ -215,7 +215,7 @@ def test_formatters_match_reference_encoders(fmt, stream):
         for members in [family, *([S] for S in family)]:
             out = io.StringIO()
             with redirect_stdout(out):
-                _emit_semigroups(members, f, fmt, stream=stream)
+                _emit_semigroups(members, fmt, stream=stream)
             assert out.getvalue() == reference_output(members, fmt, stream), (f, members[0])
 
 
@@ -228,7 +228,7 @@ def test_json_array_written_record_by_record():
             yield S
 
     with redirect_stdout(out):
-        _emit_semigroups(produce(), 12, "json")
+        _emit_semigroups(produce(), "json")
     assert json.loads(out.getvalue()) == [_record(S) for S in enumerate_sat(12)]
 
 
