@@ -103,7 +103,9 @@ def closure(frobenius: int, xs: Iterable[int]) -> NumericalSemigroup:
         raise NotASatFSet(
             f"{list(ns)} extends to no saturated semigroup with Frobenius number {frobenius}"
         )
-    return NumericalSemigroup(frobenius, _fill(frobenius, ns))
+    # _fill lays out the least witness of the module docstring, which is
+    # closed and saturated; tests compare it with the validating constructor
+    return NumericalSemigroup._raw(frobenius, _fill(frobenius, ns))
 
 
 def minimal_system(

@@ -28,42 +28,68 @@ node.
    forward direction takes s = m, and conversely x + s = (x + m) + s - m
    lies in S for every nonzero member s.  Such an x is special (2x is not
    pseudo-Frobenius) exactly when 2x is a member, since a gap 2x would
-   be pseudo-Frobenius: 2x + s = x + (x + s).  So the candidates are the bits x of
-   S shifted down by m, and each needs one more bit test for 2x.  As 2x
-   cannot be a nonzero member below m, only x >= m/2 can be special.
+   be pseudo-Frobenius: 2x + s = x + (x + s).  As 2x cannot be a
+   nonzero member below m, only x >= m/2 can be special.
+
+   So the special candidates are one AND: each node carries ``doubles``,
+   the bitmap of the y < F with 2y a member, and the candidates are
+   (S >> m) & doubles.  At the root {0, F+1, ->} that bitmap is 0 and
+   every y with 2y >= F+1, that is y >= ceil((F+1)/2).  A child
+   T = S + {x} has the one member x more than S, so 2y is in T exactly
+   when 2y is in S or 2y = x: doubles gains x/2 when x is even and
+   nothing else.
 
 2. Saturation is one bit test per link.  Let x be a special gap with
    x < m, and T = S + {x}.  T is saturated exactly when
-   n_i + gcd(x, d_i) is a member of S for every link with d_i not
-   dividing x.  Proof: T is saturated when t + gcd(members of T up to t)
-   lies in T for each nonzero member t.  For t = x that is 2x, a member
-   of S.  For a member t >= m of S the gcd is g = gcd(x, d_t); when d_t
-   divides x, g = d_t and t + d_t is in S because S is saturated.  A
-   member t > F needs nothing, as t + g > F+1.  Otherwise t lies in a
-   segment [n_i, n_{i+1}) with d_i = d_t not dividing x, so
-   0 < g < d_i.  The members of the segment are multiples of d_i, so
-   t + g is a member only if it reaches n_{i+1}, which fails for every
-   member of the segment but its last.  So the test holds for the whole
-   segment exactly when n_i is its only member and n_i + g is a member;
-   and if n_i + g is a member it is at least n_{i+1}, so
-   n_i + d_i > n_{i+1} and n_i is the only member.  This is the test
-   "(segment << gcd(x, d_i)) & ~S == 0" over each gcd-drop segment,
-   reduced to the segment's first member.
+   n_i + gcd(x, d_i) is a member of S for every link.  Proof: T is
+   saturated when t + gcd(members of T up to t) lies in T for each
+   nonzero member t.  For t = x that is 2x, a member of S.  For a member
+   t >= m of S the gcd is g = gcd(x, d_t); when d_t divides x,
+   g = d_t and t + d_t is in S because S is saturated (so a link with
+   d_i dividing x passes).  A member t > F needs nothing, as
+   t + g > F+1.  Otherwise t lies in a segment [n_i, n_{i+1}) with
+   d_i = d_t not dividing x, so 0 < g < d_i.  The members of the segment
+   are multiples of d_i, so t + g is a member only if it reaches
+   n_{i+1}, which fails for every member of the segment but its last.
+   So the test holds for the whole segment exactly when n_i is its only
+   member and n_i + g is a member; and if n_i + g is a member it is at
+   least n_{i+1}, so n_i + d_i > n_{i+1} and n_i is the only member.
+   This is the test "(segment << gcd(x, d_i)) & ~S == 0" over each
+   gcd-drop segment, reduced to the segment's first member.
 
    The first link (m, m) never divides x, so g = gcd(x, m) < m must put
    m + g in S.  Members of S below 2m other than m are at least n_2, so
    g >= n_2 - m, and g divides m - x > 0, so x <= m - g <= 2m - n_2.
-   With stage 1 the candidates lie in [ceil(m/2), min(m, F, 2m - n_2 + 1)).
+   With stage 1 the candidates lie in [ceil(m/2), 2m - n_2 + 1), which
+   ends at or below m since n_2 > m; the root has no link, and its
+   candidates are [ceil((F+1)/2), F).
 
-3. The child's chain comes from the parent's.  The running gcd of T is
-   x at x and gcd(x, d_t) at each member t >= m, and
-   gcd(x, d_i) = gcd(gcd(x, d_{i-1}), d_i).  So T's links are (x, x)
-   followed by the (n_i, gcd(x, d_i)) at which that value drops.
+   The first link is decided for all candidates at once.  Its verdict
+   depends on x only through g = gcd(x, m), a proper divisor of m, and
+   on S only through B, the set of proper divisors g of m with m + g in
+   S: x passes exactly when gcd(x, m) lies in B.  So the x < m that pass
+   are the union over g in B of the class {x < m : gcd(x, m) = g}.  A
+   class is the multiples of g less the multiples of g*p for each prime
+   p dividing m/g, since gcd(x, m) = g*k with k dividing m/g, and k > 1
+   exactly when g*p divides x for some prime p dividing k.  One walk
+   keeps these unions in a table keyed by (m, B), with B read off S as
+   (S >> m) & (proper divisors of m), so a node's first link is one AND
+   with a looked-up bitmap, and the loop visits only the x that pass it.
+
+3. The child's chain comes from the parent's, in the same loop as the
+   test.  The running gcd of T is x at x and gcd(x, d_t) at each member
+   t >= m.  Since d_i divides d_{i-1}, gcd(x, d_i) =
+   gcd(gcd(x, d_{i-1}), d_i), so h_0 = x and h_i = gcd(h_{i-1}, d_i)
+   give h_i = gcd(x, d_i): the g that stage 2 tests at link i and the
+   running gcd of T at n_i.  One pass over the parent's links therefore
+   tests n_i + h_i in S and appends (n_i, h_i) to T's links, which
+   start at (x, x), whenever h_i < h_{i-1}.
 
 4. Layers need no sort.  The small elements of a child are its
    multiplicity x followed by those of its parent, so the next layer in
    ascending order of small-element lists is its children grouped by
-   ascending x, each group in the order of their parents.
+   ascending x, each group in the order of their parents.  The kernel
+   ``_expand`` takes a whole layer and returns the next one so.
 
 extension_is_saturated is the public reference for stage 2 (tests
 compare the two); it scans the members between m(S) and m(S)+x, and the
@@ -74,7 +100,7 @@ the walk does not call them either.
 
 from __future__ import annotations
 
-import math
+from math import gcd, isqrt
 from typing import Iterator
 
 from .errors import PreconditionViolated, ResidueClassMissing
@@ -94,6 +120,8 @@ __all__ = [
 
 # a node's gcd-drop chain: the (n_i, d_i) links of the module docstring
 _Chain = tuple[tuple[int, int], ...]
+# a node: its bitmap, its chain, and the bitmap of the y with 2y a member
+_Node = tuple[int, _Chain, int]
 
 
 def __getattr__(name: str):
@@ -152,7 +180,7 @@ def extension_is_saturated(S: NumericalSemigroup, x: int) -> bool:
         low = window & -window
         window ^= low
         s = m + low.bit_length() - 1
-        g = math.gcd(g, s)
+        g = gcd(g, s)
         t = s + g
         if t <= F + 1 and not (mask >> t) & 1:
             return False
@@ -180,43 +208,115 @@ def child_msg(msg: tuple[int, ...], x: int) -> tuple[int, ...]:
     return tuple(picked)
 
 
-def _expand(
-    frobenius: int, mask: int, chain: _Chain, groups: list[list[tuple[int, _Chain]]]
-) -> None:
-    """Append each child of one node, as (bitmap, chain), to the group of
-    its multiplicity x; see the module docstring for stages 1-3.
+class _GcdClasses(dict):
+    """One walk's first-link verdicts; see stage 2 of the module docstring.
 
-    A chain is built link by link from the parent's, and its n_i must
-    equal ``satsets._drops`` of the child's small elements.
+    Maps (m, B), with B a bitmap of proper divisors of m, to the bitmap
+    of the x < m with gcd(x, m) in B.  ``divs[m]`` (the proper divisors of
+    m) and ``mult[g]`` (the multiples of g in 0..F) are bitmaps filled on
+    first use, so a walk pays only for the m and g it reaches: a shallow
+    walk at huge F reaches few, where filling them all would take F^2
+    bits before the first layer.
     """
-    m = chain[0][0] if chain else frobenius + 1
-    n2 = chain[1][0] if len(chain) > 1 else frobenius + 1
-    lo = (m + 1) // 2
-    hi = min(m, frobenius, 2 * m - n2 + 1)
-    if hi <= lo:
-        return
-    # the tail made explicit up to F+1+m, past every bit read below
-    ext = mask | ((1 << m) - 1) << (frobenius + 2)
-    cand = (ext >> m) & ((1 << hi) - (1 << lo))
-    while cand:
-        low = cand & -cand
-        cand ^= low
-        x = low.bit_length() - 1
-        if not (ext >> (2 * x)) & 1:
-            continue  # pseudo-Frobenius but not special
-        for n, d in chain:
-            g = math.gcd(x, d)
-            if g != d and not (ext >> (n + g)) & 1:
-                break
+
+    def __init__(self, frobenius: int):
+        super().__init__()
+        self.frobenius = frobenius
+        self.divs = [0] * (frobenius + 1)
+        self.mult = [0] * (frobenius + 1)
+
+    def divisors(self, m: int) -> int:
+        """The bitmap of the divisors of m below m."""
+        divs = 0
+        for g in range(1, isqrt(m) + 1):
+            if not m % g:
+                divs |= 1 << g | 1 << m // g
+        divs &= ~(1 << m)
+        self.divs[m] = divs
+        return divs
+
+    def multiples(self, g: int) -> int:
+        mult = self.mult[g]
+        if not mult:
+            n = self.frobenius // g + 1
+            mult = self.mult[g] = ((1 << g * n) - 1) // ((1 << g) - 1)
+        return mult
+
+    def gcd_class(self, m: int, g: int) -> int:
+        """The bitmap of the x < m with gcd(x, m) = g, g a proper divisor
+        of m: the multiples of g less those of g*p, p a prime dividing m/g."""
+        cls = self.multiples(g)
+        q, p = m // g, 2
+        while q > 1:
+            if p * p > q:
+                p = q  # what is left of q is a prime
+            if not q % p:
+                cls &= ~self.multiples(g * p)
+                while not q % p:
+                    q //= p
+            p += 1
+        return cls & ((1 << m) - 1)
+
+    def __missing__(self, key: tuple[int, int]) -> int:
+        m, b = key
+        passes = 0
+        while b:
+            g = b & -b
+            b ^= g
+            passes |= self.gcd_class(m, g.bit_length() - 1)
+        self[key] = passes
+        return passes
+
+
+def _expand(frobenius: int, layer: list[_Node], table: _GcdClasses) -> list[_Node]:
+    """The layer below: the children of every node, grouped by their
+    multiplicity x, each group in the order of the parents; see the
+    module docstring for stages 1-4.
+
+    A child's chain is built link by link from its parent's, and its n_i
+    must equal ``satsets._drops`` of the child's small elements.
+    """
+    top = frobenius + 1
+    divs = table.divs
+    groups = [[] for _ in range(frobenius)]
+    for mask, chain, doubles in layer:
+        if chain:
+            m = chain[0][0]
+            hi = 2 * m + 1 - (chain[1][0] if len(chain) > 1 else top)
         else:
+            m, hi = top, frobenius
+        lo = (m + 1) // 2
+        if hi <= lo:
+            continue
+        # the tail made explicit up to F+1+m, past every bit read below
+        ext = mask | ((1 << m) - 1) << (frobenius + 2)
+        shifted = ext >> m
+        cand = shifted & doubles & ((1 << hi) - (1 << lo))
+        if chain:
+            cand &= table[m, shifted & (divs[m] or table.divisors(m))]
+        while cand:
+            low = cand & -cand
+            cand ^= low
+            x = low.bit_length() - 1
             links = [(x, x)]
-            g = x
+            h = x
             for n, d in chain:
-                h = math.gcd(g, d)
-                if h < g:
-                    links.append((n, h))
-                    g = h
-            groups[x].append((mask | low, tuple(links)))
+                g = gcd(h, d)
+                if not ext >> (n + g) & 1:
+                    break
+                if g < h:
+                    links.append((n, g))
+                    h = g
+            else:
+                child_doubles = doubles if x & 1 else doubles | 1 << (x >> 1)
+                groups[x].append((mask | low, tuple(links), child_doubles))
+    return [child for group in groups for child in group]
+
+
+def _root(frobenius: int) -> _Node:
+    # {0, F+1, ->} with no links; 2y is a member for y = 0 and y >= (F+1)/2
+    doubles = 1 | (1 << frobenius) - (1 << (frobenius + 2) // 2)
+    return ordinary(frobenius + 1)._mask, (), doubles
 
 
 def iter_layers(frobenius: int) -> Iterator[list[NumericalSemigroup]]:
@@ -227,13 +327,11 @@ def iter_layers(frobenius: int) -> Iterator[list[NumericalSemigroup]]:
     """
     if frobenius < 1:
         raise ValueError("frobenius must be >= 1")
-    layer = [(ordinary(frobenius + 1)._mask, ())]
+    table = _GcdClasses(frobenius)
+    layer = [_root(frobenius)]
     while layer:
-        yield [NumericalSemigroup._raw(frobenius, mask) for mask, _ in layer]
-        groups = [[] for _ in range(frobenius)]
-        for mask, chain in layer:
-            _expand(frobenius, mask, chain, groups)
-        layer = [child for group in groups for child in group]
+        yield [NumericalSemigroup._raw(frobenius, mask) for mask, _, _ in layer]
+        layer = _expand(frobenius, layer, table)
 
 
 def iter_sat(frobenius: int) -> Iterator[NumericalSemigroup]:

@@ -1,5 +1,5 @@
 """The tree walk and the rank enumerator agree for every F <= 60, and at
-F = 83 and 101, above the Frobenius numbers the golden digests pin.
+F = 83, 101 and 150, above the Frobenius numbers the golden digests pin.
 
 The two paths share no code: the walk adjoins special gaps layer by
 layer and orders each layer by grouping children, the rank enumerator
@@ -16,14 +16,14 @@ def small(S):
 
 
 def test_layers_sorted_and_at_their_depth():
-    for f in range(1, 61):
+    for f in [*range(1, 61), 83, 101, 150]:
         for depth, layer in enumerate(iter_layers(f)):
             assert layer == sorted(layer, key=small)
             assert all(S.small_count - 1 == depth for S in layer)
 
 
 def test_rank_classes_partition_the_tree_family():
-    for f in [*range(1, 61), 83, 101]:
+    for f in [*range(1, 61), 83, 101, 150]:
         family = enumerate_sat(f)
         classes = []
         p = 0

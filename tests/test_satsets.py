@@ -1,4 +1,5 @@
 import math
+import random
 from itertools import combinations
 
 import pytest
@@ -7,6 +8,7 @@ from satsemi.errors import NotASatFSet, NotSaturated, WrongFrobenius
 from satsemi.extremal import tooth
 from satsemi.satsets import (
     SatFSet,
+    _fill,
     closure,
     is_minimal_system,
     is_sat_set,
@@ -14,6 +16,7 @@ from satsemi.satsets import (
     rank,
 )
 from satsemi.semigroup import NumericalSemigroup, ordinary
+from satsemi.tree import enumerate_sat
 
 
 def small_subsets(frobenius, max_size=3):
@@ -159,3 +162,24 @@ def test_prefix_gcd_law(corpus):
             for n in system:
                 g = math.gcd(g, n)
                 assert S.gcd_up_to(n) == g
+
+
+def usable_sets(frobenius, count, seed):
+    rng = random.Random(seed)
+    while count:
+        xs = rng.sample(range(1, frobenius), rng.randint(1, 6))
+        if is_sat_set(frobenius, xs):
+            count -= 1
+            yield sorted(xs)
+
+
+def test_fill_passes_the_validating_constructor():
+    # closure trusts _fill; the checked constructor re-proves its output
+    systems = [
+        (f, minimal_system(S).elements) for f in range(1, 61) for S in enumerate_sat(f)
+    ]
+    systems += [(f, xs) for f in (101, 199, 1000) for xs in usable_sets(f, 40, f)]
+    for f, ns in systems:
+        S = NumericalSemigroup(f, _fill(f, ns))
+        assert S.frobenius == f and S.is_saturated(), (f, ns)
+        assert closure(f, ns) == S

@@ -8,6 +8,8 @@ from satsemi.satsets import minimal_system
 from satsemi.semigroup import NumericalSemigroup, ordinary
 from satsemi.tree import (
     _expand,
+    _GcdClasses,
+    _root,
     chain,
     child_msg,
     enumerate_sat,
@@ -214,24 +216,39 @@ def test_pseudo_frobenius_below_multiplicity_is_a_shift():
 
 def test_kernel_decides_like_the_reference():
     for f in range(1, 61):
-        for S in enumerate_sat(f):
-            groups = [[] for _ in range(f)]
-            _expand(f, S._mask, gcd_drop_chain(S), groups)
-            kept = set()
-            for x, group in enumerate(groups):
-                for mask, links in group:
-                    child = NumericalSemigroup._raw(f, mask)
-                    assert mask == S._mask | 1 << x
-                    assert links == gcd_drop_chain(child)
+        table = _GcdClasses(f)
+        layer = [_root(f)]
+        while layer:
+            for node in layer:
+                mask, links, doubles = node
+                S = NumericalSemigroup._raw(f, mask)
+                assert links == gcd_drop_chain(S)
+                assert doubles == sum(1 << y for y in range(f) if 2 * y in S), S
+                kept = set()
+                for child, child_links, _ in _expand(f, [node], table):
+                    x = (child ^ mask).bit_length() - 1
+                    assert child == mask | 1 << x
+                    assert child_links == gcd_drop_chain(NumericalSemigroup._raw(f, child))
                     kept.add(x)
-            m = S.multiplicity
-            for x in S.special_gaps():
-                if x < m and x != f:
-                    want = extension_is_saturated(S, x)
-                    assert want == S.adjoin(x).is_saturated()
-                    assert (x in kept) == want, (S, x)
-                    kept.discard(x)
-            assert not kept, S
+                m = S.multiplicity
+                for x in S.special_gaps():
+                    if x < m and x != f:
+                        want = extension_is_saturated(S, x)
+                        assert want == S.adjoin(x).is_saturated()
+                        assert (x in kept) == want, (S, x)
+                        kept.discard(x)
+                assert not kept, S
+            layer = _expand(f, layer, table)
+
+
+def test_gcd_classes_are_literal():
+    table = _GcdClasses(120)
+    for m in range(2, 121):
+        divisors = [g for g in range(1, m) if m % g == 0]
+        assert table.divisors(m) == sum(1 << g for g in divisors)
+        for g in divisors:
+            want = sum(1 << x for x in range(m) if gcd(x, m) == g)
+            assert table.gcd_class(m, g) == want, (m, g)
 
 
 def reference_layers(f):
