@@ -31,12 +31,10 @@ def tooth(step: int, conductor: int) -> NumericalSemigroup:
     """
     if step < 1 or conductor < 1:
         raise ValueError("step and conductor must be positive")
-    frobenius = 0
-    for x in range(conductor - 1, 0, -1):
-        if x % step:
-            frobenius = x
-            break
-    if not frobenius:
+    # F is the largest x < conductor that step does not divide: c - 1, or
+    # else c - 2, which a step >= 2 dividing c - 1 cannot divide
+    frobenius = conductor - (1 if (conductor - 1) % step else 2)
+    if frobenius < 1 or not frobenius % step:
         raise NotRepresentable("every nonnegative integer is in the set")
     # F+1 .. conductor-1 are multiples of step, so the set is the closure
     # of {step}; a step past F leaves only 0 below F+1

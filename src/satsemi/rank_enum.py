@@ -63,7 +63,7 @@ from typing import Sequence
 from .errors import NotASatSequence
 from .extremal import least_non_divisor
 from .satsets import closure
-from .semigroup import NumericalSemigroup, _set_bits, ordinary
+from .semigroup import NumericalSemigroup, _multiples, _set_bits, ordinary
 
 _raw = NumericalSemigroup._raw
 
@@ -230,16 +230,17 @@ def enumerate_rank(frobenius: int, p: int) -> list[NumericalSemigroup]:
         return [ordinary(frobenius + 1)]
     if not feasible_rank(frobenius, p):
         return []
+    # the root bitmap comes first: at an F too large to represent it fails
+    # at once, before the tables below take F^2 bits
+    root = 1 | (1 << (frobenius + 1))
     low = [(1 << x) - 1 for x in range(frobenius + 1)]
-    # mult[g]: the multiples of g in g..F-1; mult[0] is empty, so the root
-    # state (n, d) = (0, 0) lays no progression and gcd(0, n1) = n1
-    mult = [0] + [
-        ((1 << ((frobenius - 1) // g * g)) - 1) // ((1 << g) - 1) << g
-        for g in range(1, frobenius)
-    ]
+    # mult[g]: the multiples of g in g..F-1, from _multiples; mult[0] is
+    # empty, so the root state (n, d) = (0, 0) lays no progression and
+    # gcd(0, n1) = n1
+    mult = [0] + [_multiples(g, frobenius) for g in range(1, frobenius)]
     rows = _next_table(frobenius, p, mult, low)
     out: list[NumericalSemigroup] = []
-    _grow(out, frobenius, rows, mult, low, 0, 0, 1 | (1 << (frobenius + 1)), p)
+    _grow(out, frobenius, rows, mult, low, 0, 0, root, p)
     return out
 
 
@@ -294,7 +295,9 @@ def _grow(
     below n in mask, append every member it completes to, in order.
 
     A member's bitmap is built progression by progression as the search
-    descends, and must equal ``satsets._fill`` of its minimal system.
+    descends, each cut from ``mult[d]``, the ``_multiples`` of d below F,
+    and must equal ``satsets._fill`` of its minimal system, which cuts
+    the same progressions from ``_multiples``.
     """
     step = mult[d] & ~low[n]
     for m in _set_bits(rows[r][d] & ~low[n + 1]):

@@ -27,7 +27,7 @@ import math
 from typing import Iterable, NamedTuple, Sequence
 
 from .errors import NotASatFSet, NotSaturated, WrongFrobenius
-from .semigroup import NumericalSemigroup, _set_bits, _small_window
+from .semigroup import NumericalSemigroup, _multiples, _set_bits, _small_window
 
 __all__ = [
     "SatFSet",
@@ -53,14 +53,14 @@ def _normalized(xs: Iterable[int]) -> tuple[int, ...]:
 def _fill(frobenius: int, ns: Sequence[int]) -> int:
     """The bitmap of 0, the progressions n_i, n_i + g_i, .. below n_{i+1}
     (the last one below F), and F+1, where ns is ascending and g_i is the
-    gcd of its first i elements.
+    gcd of its first i elements.  As g_i divides n_i, each progression is
+    the part from n_i up of ``_multiples(g_i, n_{i+1})``.
     """
     mask = 1 | 1 << (frobenius + 1)
     g = 0
     for n, stop in zip(ns, (*ns[1:], frobenius)):
         g = math.gcd(g, n)
-        terms = (stop - n + g - 1) // g
-        mask |= ((1 << terms * g) - 1) // ((1 << g) - 1) << n
+        mask |= _multiples(g, stop) >> n << n
     return mask
 
 

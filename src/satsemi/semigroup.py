@@ -12,7 +12,8 @@ Every list of positions read off a bitmap comes from ``_set_bits``, and
 the windows it reads are named once: ``_small_window`` for the nonzero
 members below F, ``_gap_window`` for the places a gap can sit.  Where a
 computation needs members past F+1, ``_ext`` writes out that many bits
-of the implicit tail.
+of the implicit tail.  Every bitmap of the multiples of a step comes from
+``_multiples``.
 
 The set of all nonnegative integers has no largest gap and is therefore
 not representable; constructors reject it.
@@ -366,6 +367,18 @@ def _gap_window(frobenius: int) -> int:
 def _ext(frobenius: int, mask: int, k: int) -> int:
     # the bitmap with the implicit tail written out for k bits past F+1
     return mask | ((1 << k) - 1) << (frobenius + 2)
+
+
+def _multiples(g: int, stop: int) -> int:
+    # the bitmap of the positive multiples of g below stop, for g >= 1, by
+    # shift-or doubling as in from_generators: the run of the first k of
+    # the n terms doubles while 2k < n, and then one shift by n - k <= k
+    # lays the last n - k terms over its top
+    run, k, n = 1 << g, 1, (stop - 1) // g
+    while 2 * k < n:
+        run |= run << k * g
+        k *= 2
+    return run | run << (n - k) * g if n > 0 else 0
 
 
 def _apery_mask(frobenius: int, mask: int, n: int) -> int:

@@ -64,17 +64,19 @@ node.
    ends at or below m since n_2 > m; the root has no link, and its
    candidates are [ceil((F+1)/2), F).
 
-   The first link is decided for all candidates at once.  Its verdict
-   depends on x only through g = gcd(x, m), a proper divisor of m, and
-   on S only through B, the set of proper divisors g of m with m + g in
-   S: x passes exactly when gcd(x, m) lies in B.  So the x < m that pass
-   are the union over g in B of the class {x < m : gcd(x, m) = g}.  A
-   class is the multiples of g less the multiples of g*p for each prime
-   p dividing m/g, since gcd(x, m) = g*k with k dividing m/g, and k > 1
-   exactly when g*p divides x for some prime p dividing k.  One walk
-   keeps these unions in a table keyed by (m, B), with B read off S as
-   (S >> m) & (proper divisors of m), so a node's first link is one AND
-   with a looked-up bitmap, and the loop visits only the x that pass it.
+   The first link is decided for all candidates at once.  Let B be the
+   set of proper divisors g of m with m + g in S; x passes exactly when
+   gcd(x, m), a proper divisor of m as x < m, lies in B.  B is closed
+   under multiples: if m + g is in S, then m + kg is in S for every
+   k >= 1, by induction with the Arf property, as
+   (m + (k-1)g) + (m + g) - m = m + kg.  So x passes exactly when some
+   g in B divides x: gcd(x, m) is such a g, and any such g divides
+   gcd(x, m), which is then a multiple of g in B.  The x that pass are
+   therefore the union over g in B of the multiples of g, a bitmap that
+   depends on B alone and not on m.  One walk keeps these unions in a
+   table keyed by B, read off S as (S >> m) & (proper divisors of m),
+   so a node's first link is one AND with a looked-up bitmap, and the
+   loop visits only the x that pass it.
 
 3. The child's chain comes from the parent's, in the same loop as the
    test.  The running gcd of T is x at x and gcd(x, d_t) at each member
@@ -105,7 +107,7 @@ from typing import Iterator
 
 from .errors import PreconditionViolated, ResidueClassMissing
 from .extremal import min_genus
-from .semigroup import NumericalSemigroup, ordinary
+from .semigroup import NumericalSemigroup, _multiples, ordinary
 
 __all__ = [
     "special_gaps_from_msg",
@@ -208,22 +210,20 @@ def child_msg(msg: tuple[int, ...], x: int) -> tuple[int, ...]:
     return tuple(picked)
 
 
-class _GcdClasses(dict):
+class _FirstLink(dict):
     """One walk's first-link verdicts; see stage 2 of the module docstring.
 
-    Maps (m, B), with B a bitmap of proper divisors of m, to the bitmap
-    of the x < m with gcd(x, m) in B.  ``divs[m]`` (the proper divisors of
-    m) and ``mult[g]`` (the multiples of g in 0..F) are bitmaps filled on
-    first use, so a walk pays only for the m and g it reaches: a shallow
-    walk at huge F reaches few, where filling them all would take F^2
-    bits before the first layer.
+    Maps B, a bitmap of divisors of some multiplicity, to the bitmap of
+    the x < F that some g in B divides.  ``divs[m]`` (the proper divisors
+    of m) is a bitmap filled on first use, so a walk pays only for the m
+    it reaches: a shallow walk at huge F reaches few, where filling them
+    all would take F^2 bits before the first layer.
     """
 
     def __init__(self, frobenius: int):
         super().__init__()
         self.frobenius = frobenius
         self.divs = [0] * (frobenius + 1)
-        self.mult = [0] * (frobenius + 1)
 
     def divisors(self, m: int) -> int:
         """The bitmap of the divisors of m below m."""
@@ -235,40 +235,17 @@ class _GcdClasses(dict):
         self.divs[m] = divs
         return divs
 
-    def multiples(self, g: int) -> int:
-        mult = self.mult[g]
-        if not mult:
-            n = self.frobenius // g + 1
-            mult = self.mult[g] = ((1 << g * n) - 1) // ((1 << g) - 1)
-        return mult
-
-    def gcd_class(self, m: int, g: int) -> int:
-        """The bitmap of the x < m with gcd(x, m) = g, g a proper divisor
-        of m: the multiples of g less those of g*p, p a prime dividing m/g."""
-        cls = self.multiples(g)
-        q, p = m // g, 2
-        while q > 1:
-            if p * p > q:
-                p = q  # what is left of q is a prime
-            if not q % p:
-                cls &= ~self.multiples(g * p)
-                while not q % p:
-                    q //= p
-            p += 1
-        return cls & ((1 << m) - 1)
-
-    def __missing__(self, key: tuple[int, int]) -> int:
-        m, b = key
-        passes = 0
+    def __missing__(self, b: int) -> int:
+        key, passes = b, 0
         while b:
             g = b & -b
             b ^= g
-            passes |= self.gcd_class(m, g.bit_length() - 1)
+            passes |= _multiples(g.bit_length() - 1, self.frobenius)
         self[key] = passes
         return passes
 
 
-def _expand(frobenius: int, layer: list[_Node], table: _GcdClasses) -> list[_Node]:
+def _expand(frobenius: int, layer: list[_Node], table: _FirstLink) -> list[_Node]:
     """The layer below: the children of every node, grouped by their
     multiplicity x, each group in the order of the parents; see the
     module docstring for stages 1-4.
@@ -293,7 +270,7 @@ def _expand(frobenius: int, layer: list[_Node], table: _GcdClasses) -> list[_Nod
         shifted = ext >> m
         cand = shifted & doubles & ((1 << hi) - (1 << lo))
         if chain:
-            cand &= table[m, shifted & (divs[m] or table.divisors(m))]
+            cand &= table[shifted & (divs[m] or table.divisors(m))]
         while cand:
             low = cand & -cand
             cand ^= low
@@ -327,7 +304,7 @@ def iter_layers(frobenius: int) -> Iterator[list[NumericalSemigroup]]:
     """
     if frobenius < 1:
         raise ValueError("frobenius must be >= 1")
-    table = _GcdClasses(frobenius)
+    table = _FirstLink(frobenius)
     layer = [_root(frobenius)]
     while layer:
         yield [NumericalSemigroup._raw(frobenius, mask) for mask, _, _ in layer]

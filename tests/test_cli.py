@@ -383,6 +383,8 @@ def test_color_env_decorates_verify_only(monkeypatch):
         (("closure", "--frobenius", str(10**18), "--set", "3"), 1, "error: the input is too large to represent"),
         (("enumerate", "--frobenius", str(10**30)), 1, "error: the input is too large to represent"),
         (("closure", "--frobenius", str(10**30), "--set", "3"), 1, "error: the input is too large to represent"),
+        (("rank", "--frobenius", str(10**18), "--rank", "1"), 1, "error: the input is too large to represent"),
+        (("rank", "--frobenius", str(10**30), "--rank", "1"), 1, "error: the input is too large to represent"),
     ],
 )
 def test_bad_input_gives_one_line_diagnostic(monkeypatch, capsys, argv, code, message):

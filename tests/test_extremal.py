@@ -34,6 +34,8 @@ def test_tooth_degenerate():
         tooth(3, 1)
     with pytest.raises(ValueError):
         tooth(0, 5)
+    with pytest.raises(NotRepresentable):
+        tooth(1, 10**18)
 
 
 def test_tooth_saturated_with_expected_frobenius():
@@ -47,10 +49,10 @@ def test_tooth_saturated_with_expected_frobenius():
 
 
 def test_tooth_is_the_literal_set():
-    # every step and conductor up to 30, including conductors one past a
+    # every step and conductor up to 60, including conductors one past a
     # multiple of the step and steps at or beyond the conductor
-    for c in range(1, 31):
-        for step in range(1, 32):
+    for c in range(1, 61):
+        for step in range(1, 62):
             def member(x):
                 return x % step == 0 or x >= c
 

@@ -5,10 +5,10 @@ import pytest
 
 from satsemi.errors import PreconditionViolated, ResidueClassMissing
 from satsemi.satsets import minimal_system
-from satsemi.semigroup import NumericalSemigroup, ordinary
+from satsemi.semigroup import NumericalSemigroup, _multiples, ordinary
 from satsemi.tree import (
     _expand,
-    _GcdClasses,
+    _FirstLink,
     _root,
     chain,
     child_msg,
@@ -216,7 +216,7 @@ def test_pseudo_frobenius_below_multiplicity_is_a_shift():
 
 def test_kernel_decides_like_the_reference():
     for f in range(1, 61):
-        table = _GcdClasses(f)
+        table = _FirstLink(f)
         layer = [_root(f)]
         while layer:
             for node in layer:
@@ -225,11 +225,20 @@ def test_kernel_decides_like_the_reference():
                 assert links == gcd_drop_chain(S)
                 assert doubles == sum(1 << y for y in range(f) if 2 * y in S), S
                 kept = set()
-                for child, child_links, _ in _expand(f, [node], table):
+                probe = _FirstLink(f)
+                for child, child_links, _ in _expand(f, [node], probe):
                     x = (child ^ mask).bit_length() - 1
                     assert child == mask | 1 << x
                     assert child_links == gcd_drop_chain(NumericalSemigroup._raw(f, child))
                     kept.add(x)
+                if links:
+                    # the node looks up the literal B, and the union of its
+                    # multiples is the literal first link
+                    m = links[0][0]
+                    b = sum(1 << g for g in range(1, m) if m % g == 0 and m + g in S)
+                    want = sum(1 << x for x in range(1, m) if m + gcd(x, m) in S)
+                    assert set(probe) <= {b}, S
+                    assert probe[b] & (1 << m) - 1 == want, S
                 m = S.multiplicity
                 for x in S.special_gaps():
                     if x < m and x != f:
@@ -241,14 +250,15 @@ def test_kernel_decides_like_the_reference():
             layer = _expand(f, layer, table)
 
 
-def test_gcd_classes_are_literal():
-    table = _GcdClasses(120)
+def test_multiples_and_divisors_are_literal():
+    for g in range(1, 201):
+        for stop in range(201):
+            want = sum(1 << x for x in range(g, stop, g))
+            assert _multiples(g, stop) == want, (g, stop)
+    table = _FirstLink(120)
     for m in range(2, 121):
         divisors = [g for g in range(1, m) if m % g == 0]
         assert table.divisors(m) == sum(1 << g for g in divisors)
-        for g in divisors:
-            want = sum(1 << x for x in range(m) if gcd(x, m) == g)
-            assert table.gcd_class(m, g) == want, (m, g)
 
 
 def reference_layers(f):
