@@ -8,6 +8,14 @@ footer and writes json as one object per line.  Exit codes: 0 on
 success, 1 on a domain error (one-line diagnostic on stderr), 2 on a
 usage error.  Set SATSEMI_COLOR=1 to color verify status lines; data
 lines are never decorated.
+
+The commands that print members build each record as (F, mask,
+sat_msg): the Frobenius number, the membership bitmap and the minimal
+system.  ``enumerate`` takes them from the walk's nodes, whose gcd-drop
+chains are their minimal systems; genus, maximal, closure and rank take
+the minimal system from the small elements.  The formatters spell every
+other list straight off a bitmap (``semigroup._bit_bytes``); the genus
+and the embedding dimension are bit counts.
 """
 
 from __future__ import annotations
@@ -15,6 +23,8 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from functools import partial
+from itertools import compress, count
 from typing import Callable, Iterable, Iterator
 
 from .errors import SemigroupError
@@ -25,11 +35,17 @@ from .satsets import _drops, closure, minimal_system
 from .semigroup import (
     NumericalSemigroup,
     _apery_mask,
+    _bit_bytes,
     _gap_window,
     _set_bits,
     _small_window,
 )
-from .tree import enumerate_sat_genus, iter_sat
+from .tree import _walk, enumerate_sat_genus
+
+# a record: F, the membership bitmap over 0..F+1, and the minimal system
+_Record = tuple[int, int, list[int]]
+# maps the _bit_bytes of a bitmap to the labels of its set positions
+_Spell = Callable[[bytes], Iterable[str]]
 
 SEMIGROUP_CSV_COLUMNS = (
     "frobenius",
@@ -43,108 +59,113 @@ SEMIGROUP_CSV_COLUMNS = (
 )
 
 
-def _record(S: NumericalSemigroup, gaps: bool = True) -> dict:
-    """The output record of a saturated member, in one pass over its bitmap.
+def _msg(F: int, mask: int) -> tuple[int, int]:
+    """The multiplicity m of a saturated member and the bitmap of its
+    minimal generators.
 
-    ``gaps=False`` leaves out the gap list, which only json prints.
-
-    Every caller of ``_emit_semigroups`` (enumerate, genus, maximal,
-    closure, rank) passes saturated members, and the msg shortcut holds
+    Every record printed is of a saturated member, and the shortcut holds
     only for them; S is not checked here.  A saturated semigroup is Arf,
     and an Arf semigroup has maximal embedding dimension (Rosales and
     Garcia-Sanchez, Numerical Semigroups, 2009, ch. 3): its minimal
     generators are the multiplicity m together with the nonzero elements
-    of ``semigroup._apery_mask`` of m.  The minimal system is
-    ``satsets._drops`` of the small elements, as in ``minimal_system``.
+    of ``semigroup._apery_mask`` of m.
     """
-    F = S.frobenius
-    mask = S._mask
-    small = _set_bits(mask & _small_window(F))
-    m = small[0] if small else F + 1
-    msg = _set_bits((_apery_mask(F, mask, m) & ~1) | 1 << m)
-    system = _drops(small)
-    rec = {
-        "frobenius": F,
-        "small_elements": small,
-        "msg": msg,
-        "genus": F - len(small),
-        "multiplicity": m,
-    }
-    if gaps:
-        rec["gaps"] = _set_bits(~mask & _gap_window(F))
-    rec["sat_msg"] = system
-    rec["embedding_dimension"] = len(msg)
-    rec["rank"] = len(system)
-    return rec
+    body = mask ^ 1
+    m = (body & -body).bit_length() - 1
+    return m, (_apery_mask(F, mask, m) & ~1) | 1 << m
 
 
-def _text_line(rec: dict, label: Callable[[int], str]) -> str:
-    small = ",".join(map(label, rec["small_elements"]))
-    top = label(rec["frobenius"] + 1)
-    members = f"0,{small},{top}" if small else f"0,{top}"
-    msg = ",".join(map(label, rec["msg"]))
+# The formatters take a record and its ``spell``.  The small elements are
+# the set bits of mask & _small_window(F), the gaps the clear bits of
+# _gap_window(F), and the genus is F + 2 - popcount(mask), as mask holds 0
+# and F+1 besides the small elements.
+
+
+def _text_line(F: int, mask: int, sat_msg: list[int], spell: _Spell) -> str:
+    members = ",".join(spell(_bit_bytes(mask)))
+    msg = ",".join(spell(_bit_bytes(_msg(F, mask)[1])))
     return (
         f"{members}→ | msg=⟨{msg}⟩"
-        f" | g={rec['genus']} | rank={rec['rank']}\n"
+        f" | g={F + 2 - mask.bit_count()} | rank={len(sat_msg)}\n"
     )
 
 
-def _json_block(rec: dict, label: Callable[[int], str]) -> str:
-    # json.dumps(rec, indent=2) as it sits in the top-level array, for a
-    # record whose values are ints or lists of ints
-    fields = []
-    for key, value in rec.items():
-        if isinstance(value, list):
-            value = (
-                "[\n      " + ",\n      ".join(map(label, value)) + "\n    ]"
-                if value
-                else "[]"
-            )
-        fields.append(f'    "{key}": {value}')
-    return "  {\n" + ",\n".join(fields) + "\n  }"
+def _block_list(labels: Iterable[str]) -> str:
+    body = ",\n      ".join(labels)
+    return f"[\n      {body}\n    ]" if body else "[]"
 
 
-def _json_line(rec: dict, label: Callable[[int], str]) -> str:
-    # json.dumps(rec), for a record whose values are ints or lists of ints
-    fields = [
-        f'"{key}": [' + ", ".join(map(label, value)) + "]"
-        if isinstance(value, list)
-        else f'"{key}": {value}'
-        for key, value in rec.items()
-    ]
-    return "{" + ", ".join(fields) + "}\n"
-
-
-def _csv_row(rec: dict, label: Callable[[int], str]) -> str:
-    # what csv.writer writes: no field holds a comma, quote or line break
+def _json_block(F: int, mask: int, sat_msg: list[int], spell: _Spell) -> str:
+    # json.dumps(record, indent=2) as it sits in the top-level array
+    m, msg = _msg(F, mask)
+    small = _block_list(spell(_bit_bytes(mask & _small_window(F))))
+    gaps = _block_list(spell(_bit_bytes(~mask & _gap_window(F))))
     return (
-        f"{rec['frobenius']},{rec['genus']},{rec['multiplicity']},"
-        f"{rec['embedding_dimension']},{rec['rank']},"
-        + ";".join(map(label, rec["small_elements"])) + ","
-        + ";".join(map(label, rec["msg"])) + ","
-        + ";".join(map(label, rec["sat_msg"])) + "\n"
+        f'  {{\n    "frobenius": {F},\n    "small_elements": {small},\n'
+        f'    "msg": {_block_list(spell(_bit_bytes(msg)))},\n'
+        f'    "genus": {F + 2 - mask.bit_count()},\n    "multiplicity": {m},\n'
+        f'    "gaps": {gaps},\n    "sat_msg": {_block_list(map(str, sat_msg))},\n'
+        f'    "embedding_dimension": {msg.bit_count()},\n'
+        f'    "rank": {len(sat_msg)}\n  }}'
     )
 
 
-def _labelled_records(
-    semigroups: Iterable[NumericalSemigroup], gaps: bool
-) -> Iterator[tuple[dict, Callable[[int], str]]]:
-    # each record with the function that spells its list entries: str for
-    # the first, then a table of 0..2F+1 built once from the second
-    # record's F, so that a one-record command at huge F never builds it
-    label = str
-    for k, S in enumerate(semigroups):
+def _json_line(F: int, mask: int, sat_msg: list[int], spell: _Spell) -> str:
+    # json.dumps(record)
+    m, msg = _msg(F, mask)
+    small = ", ".join(spell(_bit_bytes(mask & _small_window(F))))
+    gaps = ", ".join(spell(_bit_bytes(~mask & _gap_window(F))))
+    return (
+        f'{{"frobenius": {F}, "small_elements": [{small}], '
+        f'"msg": [{", ".join(spell(_bit_bytes(msg)))}], '
+        f'"genus": {F + 2 - mask.bit_count()}, "multiplicity": {m}, '
+        f'"gaps": [{gaps}], "sat_msg": [{", ".join(map(str, sat_msg))}], '
+        f'"embedding_dimension": {msg.bit_count()}, "rank": {len(sat_msg)}}}\n'
+    )
+
+
+def _csv_row(F: int, mask: int, sat_msg: list[int], spell: _Spell) -> str:
+    # what csv.writer writes: no field holds a comma, quote or line break
+    m, msg = _msg(F, mask)
+    return (
+        f"{F},{F + 2 - mask.bit_count()},{m},{msg.bit_count()},{len(sat_msg)},"
+        + ";".join(spell(_bit_bytes(mask & _small_window(F)))) + ","
+        + ";".join(spell(_bit_bytes(msg))) + ","
+        + ";".join(map(str, sat_msg)) + "\n"
+    )
+
+
+def _spell_plain(bits: bytes) -> Iterator[str]:
+    return map(str, compress(count(), bits))
+
+
+def _spelled(
+    records: Iterable[_Record],
+) -> Iterator[tuple[int, int, list[int], _Spell]]:
+    # each record with its speller: str of each position for the first,
+    # then compress over a table of the labels 0..2F+1 built once from the
+    # second record's F, so that a one-record command at huge F never
+    # builds it
+    spell = _spell_plain
+    for k, (F, mask, sat_msg) in enumerate(records):
         if k == 1:
-            label = [str(i) for i in range(2 * S.frobenius + 2)].__getitem__
-        yield _record(S, gaps), label
+            spell = partial(compress, [str(i) for i in range(2 * F + 2)])
+        yield F, mask, sat_msg, spell
 
 
-def _emit_semigroups(
-    semigroups: Iterable[NumericalSemigroup], fmt: str, stream: bool = False
-) -> None:
-    """Write members of one Sat(F) in the given format.
+def _walk_records(F: int) -> Iterator[_Record]:
+    # enumerate's records straight from the walk: the n_i of a node's
+    # gcd-drop chain are the members at which the running gcd drops, that
+    # is satsets._drops of its small elements, its minimal system
+    for layer in _walk(F):
+        for mask, chain, _ in layer:
+            yield F, mask, [n for n, _ in chain]
 
-    One F per call: every member must have the same Frobenius number F.
+
+def _emit_records(records: Iterable[_Record], fmt: str, stream: bool = False) -> None:
+    """Write the records of one Sat(F) in the given format.
+
+    One F per call: every record must have the same Frobenius number F.
     From the second record on, list entries are spelled from one table of
     the labels 0..2F+1, built from that record's F, which covers them
     all: small elements and gaps lie below F+1, and a minimal generator
@@ -152,29 +173,44 @@ def _emit_semigroups(
     at most F + m <= 2F+1.
     """
     out = sys.stdout
-    records = _labelled_records(semigroups, gaps=fmt == "json")
+    spelled = _spelled(records)
     if fmt == "text":
-        count = 0
-        for rec, label in records:
-            out.write(_text_line(rec, label))
-            count += 1
+        n = 0
+        for rec in spelled:
+            out.write(_text_line(*rec))
+            n += 1
         if not stream:
-            out.write(f"{count}\n")
+            out.write(f"{n}\n")
     elif fmt == "json":
         if stream:
-            for rec, label in records:
-                out.write(_json_line(rec, label))
+            for rec in spelled:
+                out.write(_json_line(*rec))
         else:
             # record by record, so the array is never held in memory
             sep = "[\n"
-            for rec, label in records:
-                out.write(sep + _json_block(rec, label))
+            for rec in spelled:
+                out.write(sep + _json_block(*rec))
                 sep = ",\n"
             out.write("[]\n" if sep == "[\n" else "\n]\n")
     else:
         out.write(",".join(SEMIGROUP_CSV_COLUMNS) + "\n")
-        for rec, label in records:
-            out.write(_csv_row(rec, label))
+        for rec in spelled:
+            out.write(_csv_row(*rec))
+
+
+def _emit_semigroups(
+    semigroups: Iterable[NumericalSemigroup], fmt: str, stream: bool = False
+) -> None:
+    """Write saturated members of one Sat(F); see ``_emit_records``.
+
+    The minimal system is ``satsets._drops`` of the small elements, as in
+    ``minimal_system``.
+    """
+    records = (
+        (S.frobenius, S._mask, _drops(_set_bits(S._mask & _small_window(S.frobenius))))
+        for S in semigroups
+    )
+    _emit_records(records, fmt, stream)
 
 
 def _emit_value(fmt: str, columns: tuple[str, ...], record: dict, text: str) -> None:
@@ -230,7 +266,7 @@ _nonnegative = _int_at_least(0)
 
 
 def _cmd_enumerate(args: argparse.Namespace) -> int:
-    _emit_semigroups(iter_sat(args.frobenius), args.format, stream=args.stream)
+    _emit_records(_walk_records(args.frobenius), args.format, stream=args.stream)
     return 0
 
 

@@ -58,12 +58,14 @@ def minimal_non_divisors(n: int) -> tuple[int, ...]:
     """
     if n < 1:
         raise ValueError("n must be positive")
-    is_prime = bytearray([1]) * (n + 1)
+    # zeroed, then marked: a failed bytearray repeat at huge n writes a
+    # SystemError line to stderr before its MemoryError
+    composite = bytearray(n + 1)
     powers = []
     for p in range(2, n + 1):
-        if not is_prime[p]:
+        if composite[p]:
             continue
-        is_prime[p * p :: p] = bytes(len(range(p * p, n + 1, p)))
+        composite[p * p :: p] = b"\1" * len(range(p * p, n + 1, p))
         q = p
         while n % q == 0:
             q *= p

@@ -8,11 +8,13 @@ F+1 belongs automatically.  Instances store that window as a bitmap
 packed into one int: membership is a shift and a mask, and set-level
 operations run on machine words.
 
-Every list of positions read off a bitmap comes from ``_set_bits``, and
-the windows it reads are named once: ``_small_window`` for the nonzero
-members below F, ``_gap_window`` for the places a gap can sit.  Where a
-computation needs members past F+1, ``_ext`` writes out that many bits
-of the implicit tail.  Every bitmap of the multiples of a step comes from
+Every list read off a bitmap comes from ``_bit_bytes``: its bits as 0/1
+bytes, which ``itertools.compress`` turns into the positions
+(``_set_bits``) or into their printed labels (the CLI).  The windows
+read are named once: ``_small_window`` for the nonzero members below F,
+``_gap_window`` for the places a gap can sit.  Where a computation needs
+members past F+1, ``_ext`` writes out that many bits of the implicit
+tail.  Every bitmap of the multiples of a step comes from
 ``_multiples``.
 
 The set of all nonnegative integers has no largest gap and is therefore
@@ -391,8 +393,14 @@ def _apery_mask(frobenius: int, mask: int, n: int) -> int:
 _BIT_BYTES = bytes.maketrans(b"01", b"\0\1")
 
 
+def _bit_bytes(mask: int) -> bytes:
+    # the bits of a nonnegative int, lowest first, as 0/1 bytes up to its
+    # highest set bit; itertools.compress with them selects the positions
+    # of the set bits from any sequence indexed by position
+    return format(mask, "b")[::-1].encode().translate(_BIT_BYTES)
+
+
 def _set_bits(mask: int) -> list[int]:
-    # positions of the set bits of a nonnegative int, ascending; the
-    # binary digits, lowest first, become 0/1 bytes that select positions
-    bits = format(mask, "b")[::-1].encode().translate(_BIT_BYTES)
+    # positions of the set bits of a nonnegative int, ascending
+    bits = _bit_bytes(mask)
     return list(compress(range(len(bits)), bits))

@@ -296,19 +296,26 @@ def _root(frobenius: int) -> _Node:
     return ordinary(frobenius + 1)._mask, (), doubles
 
 
+def _walk(frobenius: int) -> Iterator[list[_Node]]:
+    # the layers of the tree as lists of nodes, in the order of iter_layers;
+    # the CLI reads each node's chain from here
+    if frobenius < 1:
+        raise ValueError("frobenius must be >= 1")
+    table = _FirstLink(frobenius)
+    layer = [_root(frobenius)]
+    while layer:
+        yield layer
+        layer = _expand(frobenius, layer, table)
+
+
 def iter_layers(frobenius: int) -> Iterator[list[NumericalSemigroup]]:
     """Yield the tree layer by layer; layer k holds the members of genus F-k.
 
     Inside a layer, members come in ascending order of their small-element
     lists.
     """
-    if frobenius < 1:
-        raise ValueError("frobenius must be >= 1")
-    table = _FirstLink(frobenius)
-    layer = [_root(frobenius)]
-    while layer:
+    for layer in _walk(frobenius):
         yield [NumericalSemigroup._raw(frobenius, mask) for mask, _, _ in layer]
-        layer = _expand(frobenius, layer, table)
 
 
 def iter_sat(frobenius: int) -> Iterator[NumericalSemigroup]:

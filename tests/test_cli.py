@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import io
 import json
 import os
@@ -10,11 +11,25 @@ from pathlib import Path
 import pytest
 
 import satsemi
-from satsemi.cli import SEMIGROUP_CSV_COLUMNS, _emit_semigroups, _json_line, _record, main
+from satsemi.cli import (
+    SEMIGROUP_CSV_COLUMNS,
+    _emit_records,
+    _emit_semigroups,
+    _walk_records,
+    main,
+)
 from satsemi.extremal import maximal_elements
-from satsemi.satsets import closure, minimal_system
-from satsemi.semigroup import NumericalSemigroup
+from satsemi.satsets import _drops, closure, minimal_system
+from satsemi.semigroup import (
+    NumericalSemigroup,
+    _apery_mask,
+    _gap_window,
+    _set_bits,
+    _small_window,
+)
 from satsemi.tree import enumerate_sat
+
+PINNED = Path(__file__).resolve().parent.parent / "bench" / "pinned.json"
 
 
 def run_cli(*argv):
@@ -22,6 +37,43 @@ def run_cli(*argv):
     with redirect_stdout(out):
         code = main(list(argv))
     return code, out.getvalue()
+
+
+def captured(emit, *args):
+    out = io.StringIO()
+    with redirect_stdout(out):
+        emit(*args)
+    return out.getvalue()
+
+
+def reference_record(S: NumericalSemigroup, gaps: bool = True) -> dict:
+    """The output record of a saturated member as a dict, the reference
+    that the CLI's formatters are compared against.
+
+    ``gaps=False`` leaves out the gap list, which only json prints.  The
+    msg shortcut holds only for saturated members (see ``cli._msg``);
+    the minimal system is ``satsets._drops`` of the small elements, as in
+    ``minimal_system``.
+    """
+    F = S.frobenius
+    mask = S._mask
+    small = _set_bits(mask & _small_window(F))
+    m = small[0] if small else F + 1
+    msg = _set_bits((_apery_mask(F, mask, m) & ~1) | 1 << m)
+    system = _drops(small)
+    rec = {
+        "frobenius": F,
+        "small_elements": small,
+        "msg": msg,
+        "genus": F - len(small),
+        "multiplicity": m,
+    }
+    if gaps:
+        rec["gaps"] = _set_bits(~mask & _gap_window(F))
+    rec["sat_msg"] = system
+    rec["embedding_dimension"] = len(msg)
+    rec["rank"] = len(system)
+    return rec
 
 
 def test_enumerate_text_f7():
@@ -114,28 +166,32 @@ def general_record(S):
 
 def test_one_pass_record_matches_general_path():
     # pins the maximal-embedding-dimension shortcut for msg against
-    # minimal_generators() on every member up to F=60, beyond the golden F
-    members = [S for f in range(1, 61) for S in enumerate_sat(f)]
-    members += [S for f in (61, 97, 128) for S in maximal_elements(f)]
-    members += [
-        closure(51, [8, 28, 42]),
-        closure(101, [30, 42, 70]),
-        closure(150, [16, 24, 44]),
-        closure(199, [12, 20, 46]),
-        closure(199, []),
+    # minimal_generators() on every member up to F=60, beyond the golden F,
+    # in the reference record and in the records the CLI prints, one group
+    # per F, as the CLI prints one family per call
+    groups = [enumerate_sat(f) for f in range(1, 61)]
+    groups += [maximal_elements(f) for f in (61, 97, 128)]
+    groups += [
+        [closure(51, [8, 28, 42])],
+        [closure(101, [30, 42, 70])],
+        [closure(150, [16, 24, 44])],
+        [closure(199, [12, 20, 46]), closure(199, [])],
     ]
-    for S in members:
-        want = general_record(S)
-        assert list(_record(S).items()) == list(want.items()), S
-        del want["gaps"]  # text and csv print no gaps
-        assert list(_record(S, gaps=False).items()) == list(want.items()), S
+    for group in groups:
+        printed = captured(_emit_semigroups, group, "json", True).splitlines()
+        for S, line in zip(group, printed, strict=True):
+            want = general_record(S)
+            assert list(reference_record(S).items()) == list(want.items()), S
+            assert list(json.loads(line).items()) == list(want.items()), S
+            del want["gaps"]  # text and csv print no gaps
+            assert list(reference_record(S, gaps=False).items()) == list(want.items()), S
 
 
 @pytest.mark.parametrize("f", [1, 2, 7, 40, 83])
 def test_json_array_matches_indented_encoder(f):
     code, out = run_cli("enumerate", "--frobenius", str(f), "--format", "json")
     assert code == 0
-    expected = json.dumps([_record(S) for S in enumerate_sat(f)], indent=2) + "\n"
+    expected = json.dumps([reference_record(S) for S in enumerate_sat(f)], indent=2) + "\n"
     # lists, not strings: a failing string comparison this long takes pytest minutes to diff
     assert out.split("\n") == expected.split("\n")
 
@@ -146,16 +202,14 @@ def test_empty_json_array():
 
 
 def test_json_line_matches_compact_encoder():
+    # enumerate's records up to F=60, past the formatter test below: whole
+    # families (labels from the table) and each record alone (no table)
     for f in range(1, 61):
-        labels = [str(i) for i in range(2 * f + 2)].__getitem__
-        for S in enumerate_sat(f):
-            rec = _record(S)
-            assert _json_line(rec, str) == json.dumps(rec) + "\n", S
-            assert _json_line(rec, labels) == json.dumps(rec) + "\n", S
-    out = io.StringIO()
-    with redirect_stdout(out):
-        _emit_semigroups([], "json", stream=True)
-    assert out.getvalue() == ""
+        want = [json.dumps(reference_record(S)) + "\n" for S in enumerate_sat(f)]
+        assert captured(_emit_records, _walk_records(f), "json", True) == "".join(want), f
+        for rec, line in zip(_walk_records(f), want):
+            assert captured(_emit_records, [rec], "json", True) == line, rec
+    assert captured(_emit_semigroups, [], "json", True) == ""
 
 
 def reference_text_line(rec):
@@ -187,18 +241,20 @@ def reference_output(members, fmt, stream):
     out = io.StringIO()
     if fmt == "text":
         for S in members:
-            out.write(reference_text_line(_record(S, gaps=False)) + "\n")
+            out.write(reference_text_line(reference_record(S, gaps=False)) + "\n")
         if not stream:
             out.write(f"{len(members)}\n")
     elif fmt == "json" and stream:
         for S in members:
-            out.write(json.dumps(_record(S)) + "\n")
+            out.write(json.dumps(reference_record(S)) + "\n")
     elif fmt == "json":
-        out.write(json.dumps([_record(S) for S in members], indent=2) + "\n")
+        out.write(json.dumps([reference_record(S) for S in members], indent=2) + "\n")
     else:
         writer = csv.writer(out, lineterminator="\n")
         writer.writerow(SEMIGROUP_CSV_COLUMNS)
-        writer.writerows(reference_csv_row(_record(S, gaps=False)) for S in members)
+        writer.writerows(
+            reference_csv_row(reference_record(S, gaps=False)) for S in members
+        )
     return out.getvalue()
 
 
@@ -209,14 +265,38 @@ FORMATS = [("text", False), ("text", True), ("json", False), ("json", True), ("c
 def test_formatters_match_reference_encoders(fmt, stream):
     # whole families spell entries from the label table from the second
     # record on; each member alone, and the one-member families F=1, 2,
-    # take the path without a table
+    # take the path without a table.  enumerate builds its records from
+    # the walk's chains, the other commands from the members
     for f in range(1, 41):
         family = enumerate_sat(f)
-        for members in [family, *([S] for S in family)]:
-            out = io.StringIO()
-            with redirect_stdout(out):
-                _emit_semigroups(members, fmt, stream=stream)
-            assert out.getvalue() == reference_output(members, fmt, stream), (f, members[0])
+        walked = list(_walk_records(f))
+        want = reference_output(family, fmt, stream)
+        argv = ["enumerate", "--frobenius", str(f), "--format", fmt] + ["--stream"] * stream
+        assert captured(main, argv) == want, f
+        assert captured(_emit_semigroups, family, fmt, stream) == want, f
+        for S, rec in zip(family, walked, strict=True):
+            want = reference_output([S], fmt, stream)
+            assert captured(_emit_semigroups, [S], fmt, stream) == want, (f, S)
+            assert captured(_emit_records, [rec], fmt, stream) == want, (f, S)
+
+
+@pytest.fixture(scope="module")
+def pinned_emit():
+    return json.loads(PINNED.read_text())["emit"]
+
+
+@pytest.mark.parametrize(
+    "f, fmt", [(83, "json"), (82, "text"), (100, "csv"), (114, "json-stream")]
+)
+def test_enumerate_matches_pinned_benchmark_digest(pinned_emit, f, fmt):
+    # one input of the benchmark's emit workload per format, above the
+    # golden F <= 60, against the digest the benchmark pins
+    argv = ["enumerate", "--frobenius", str(f), "--format", fmt.removesuffix("-stream")]
+    if fmt == "json-stream":
+        argv.append("--stream")
+    code, out = run_cli(*argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == pinned_emit[str(f)][fmt]["sha256"]
 
 
 def test_json_array_written_record_by_record():
@@ -229,7 +309,7 @@ def test_json_array_written_record_by_record():
 
     with redirect_stdout(out):
         _emit_semigroups(produce(), "json")
-    assert json.loads(out.getvalue()) == [_record(S) for S in enumerate_sat(12)]
+    assert json.loads(out.getvalue()) == [reference_record(S) for S in enumerate_sat(12)]
 
 
 def test_min_gens_subcommand():
@@ -385,6 +465,7 @@ def test_color_env_decorates_verify_only(monkeypatch):
         (("closure", "--frobenius", str(10**30), "--set", "3"), 1, "error: the input is too large to represent"),
         (("rank", "--frobenius", str(10**18), "--rank", "1"), 1, "error: the input is too large to represent"),
         (("rank", "--frobenius", str(10**30), "--rank", "1"), 1, "error: the input is too large to represent"),
+        (("maximal", "--frobenius", str(10**18)), 1, "error: the input is too large to represent"),
     ],
 )
 def test_bad_input_gives_one_line_diagnostic(monkeypatch, capsys, argv, code, message):
