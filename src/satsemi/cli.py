@@ -24,7 +24,7 @@ import argparse
 import os
 import sys
 from functools import partial
-from itertools import compress, count
+from itertools import compress
 from typing import Callable, Iterable, Iterator
 
 from .errors import SemigroupError
@@ -64,7 +64,7 @@ def _msg(F: int, mask: int) -> tuple[int, int]:
     minimal generators.
 
     Every record printed is of a saturated member, and the shortcut holds
-    only for them; S is not checked here.  A saturated semigroup is Arf,
+    only for them; the mask is not checked here.  A saturated semigroup is Arf,
     and an Arf semigroup has maximal embedding dimension (Rosales and
     Garcia-Sanchez, Numerical Semigroups, 2009, ch. 3): its minimal
     generators are the multiplicity m together with the nonzero elements
@@ -136,7 +136,7 @@ def _csv_row(F: int, mask: int, sat_msg: list[int], spell: _Spell) -> str:
 
 
 def _spell_plain(bits: bytes) -> Iterator[str]:
-    return map(str, compress(count(), bits))
+    return map(str, compress(range(len(bits)), bits))
 
 
 def _spelled(
@@ -175,12 +175,12 @@ def _emit_records(records: Iterable[_Record], fmt: str, stream: bool = False) ->
     out = sys.stdout
     spelled = _spelled(records)
     if fmt == "text":
-        n = 0
+        count = 0
         for rec in spelled:
             out.write(_text_line(*rec))
-            n += 1
+            count += 1
         if not stream:
-            out.write(f"{n}\n")
+            out.write(f"{count}\n")
     elif fmt == "json":
         if stream:
             for rec in spelled:
