@@ -12,10 +12,12 @@ lines are never decorated.
 The commands that print members build each record as (F, mask,
 sat_msg): the Frobenius number, the membership bitmap and the minimal
 system.  ``enumerate`` takes them from the walk's nodes, whose gcd-drop
-chains are their minimal systems; genus, maximal, closure and rank take
-the minimal system from the small elements.  The formatters spell every
-other list straight off a bitmap (``semigroup._bit_bytes``); the genus
-and the embedding dimension are bit counts.
+chains are their minimal systems; genus, maximal, closure and rank read
+it off the small-element bitmap with ``satsets._drops``, which clears
+the multiples of the running gcd at each drop and lists no small
+element.  The formatters spell every other list straight off a bitmap
+(``semigroup._bit_bytes``); the genus and the embedding dimension are
+bit counts.
 """
 
 from __future__ import annotations
@@ -37,7 +39,6 @@ from .semigroup import (
     _apery_mask,
     _bit_bytes,
     _gap_window,
-    _set_bits,
     _small_window,
 )
 from .tree import _walk, enumerate_sat_genus
@@ -203,11 +204,11 @@ def _emit_semigroups(
 ) -> None:
     """Write saturated members of one Sat(F); see ``_emit_records``.
 
-    The minimal system is ``satsets._drops`` of the small elements, as in
-    ``minimal_system``.
+    The minimal system is ``satsets._drops`` read off the small-element
+    bitmap, as in ``minimal_system``.
     """
     records = (
-        (S.frobenius, S._mask, _drops(_set_bits(S._mask & _small_window(S.frobenius))))
+        (S.frobenius, S._mask, _drops(S.frobenius, S._mask & _small_window(S.frobenius)))
         for S in semigroups
     )
     _emit_records(records, fmt, stream)

@@ -53,11 +53,27 @@ is canonical.  For the same reason, stopping at n (running its
 progression to F) sorts after every continuation, so a search that may
 also stop early tries "stop" last; with the rank fixed, a branch stops
 only after its p-th generator.
+
+The last level costs one OR per member.  Take a leaf-parent state (n, d)
+with mask holding the small elements below n, and a last generator m
+with g = gcd(d, m).  The member is mask, the progression of d from n
+below m, and the multiples of g from m below F.  As g divides d, every
+multiple of d from m on is a multiple of g from m on, so the cut at m
+can be dropped: the member is base | tail, with base = mask | (the
+multiples of d from n up) computed once per state, and tail = (the
+multiples of g from m up) depending on (d, m) alone.  From rank 3 on
+the tails are kept per d, because a few prefix gcds serve every state
+(at F = 199, p = 3, 45 of them serve 39,919 members).  Below rank 3
+nothing would be shared: at p = 1 the root is the only leaf parent, and
+at p = 2 each leaf parent (n1, n1) has its own d, so keeping the tails
+would only hold memory.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
+from itertools import islice
 from typing import Sequence
 
 from .errors import NotASatSequence
@@ -222,7 +238,9 @@ def enumerate_rank(frobenius: int, p: int) -> list[NumericalSemigroup]:
     so that every branch it enters ends in a member and the members come
     out in canonical order (see the module docstring).  Each step ORs
     the progression n, n + d, .. below the next generator into the
-    member's bitmap; a leaf adds the last progression, which runs below F.
+    member's bitmap; a leaf adds the last progression, which runs below
+    F, with one OR of its parent's base and a tail shared by every state
+    with the same prefix gcd.
     """
     if frobenius < 1 or p < 0:
         raise ValueError("need frobenius >= 1 and p >= 0")
@@ -240,7 +258,10 @@ def enumerate_rank(frobenius: int, p: int) -> list[NumericalSemigroup]:
     mult = [0] + [_multiples(g, frobenius) for g in range(1, frobenius)]
     rows = _next_table(frobenius, p, mult, low)
     out: list[NumericalSemigroup] = []
-    _grow(out, frobenius, rows, mult, low, 0, 0, root, p)
+    # from rank 3 on a few prefix gcds serve every leaf-parent state, so
+    # their last progressions are kept; below that each state has its own
+    tails: dict[int, tuple[list[int], list[int]]] | None = {} if p >= 3 else None
+    _grow(out, frobenius, rows, mult, low, tails, 0, 0, root, p)
     return out
 
 
@@ -286,6 +307,7 @@ def _grow(
     rows: list[list[int]],
     mult: list[int],
     low: list[int],
+    tails: dict[int, tuple[list[int], list[int]]] | None,
     n: int,
     d: int,
     mask: int,
@@ -297,13 +319,38 @@ def _grow(
     A member's bitmap is built progression by progression as the search
     descends, each cut from ``mult[d]``, the ``_multiples`` of d below F,
     and must equal ``satsets._fill`` of its minimal system, which cuts
-    the same progressions from ``_multiples``.
+    the same progressions from ``_multiples``.  A leaf adds the last
+    progression: each member is one OR of its state's base with a tail
+    of ``_last_progressions``, read from ``tails`` when it is a dict
+    (see the module docstring).
     """
     step = mult[d] & ~low[n]
-    for m in _set_bits(rows[r][d] & ~low[n + 1]):
-        child = mask | (step & low[m])
-        g = math.gcd(d, m)
-        if r > 1:
-            _grow(out, frobenius, rows, mult, low, m, g, child, r - 1)
-        else:
-            out.append(_raw(frobenius, child | (mult[g] & ~low[m])))
+    if r > 1:
+        for m in _set_bits(rows[r][d] & ~low[n + 1]):
+            child = mask | (step & low[m])
+            g = math.gcd(d, m)
+            _grow(out, frobenius, rows, mult, low, tails, m, g, child, r - 1)
+        return
+    if tails is None:
+        ms, ts = _last_progressions(rows[1][d], mult, low, d)
+    elif d in tails:
+        ms, ts = tails[d]
+    else:
+        ms, ts = tails[d] = _last_progressions(rows[1][d], mult, low, d)
+    base = mask | step
+    rest = islice(ts, bisect_right(ms, n), None)
+    out.extend([_raw(frobenius, base | t) for t in rest])
+
+
+def _last_progressions(
+    nexts: int, mult: list[int], low: list[int], d: int
+) -> tuple[list[int], list[int]]:
+    """The last generators m > d of a leaf-parent state with prefix gcd d,
+    ascending, and the last progression ``mult[gcd(d, m)] & ~low[m]`` of
+    each.  At the root (d = 0) gcd(0, m) = m, and ``mult[m]`` is reused
+    as it is, since it starts at m.
+    """
+    ms = _set_bits(nexts & ~low[d + 1])
+    if not d:
+        return ms, [mult[m] for m in ms]
+    return ms, [mult[math.gcd(d, m)] & ~low[m] for m in ms]

@@ -15,8 +15,9 @@ minimal set that generates it this way; the size of that set is the rank
 of the member.
 
 Each direction has one implementation on the membership bitmap: ``_fill``
-lays the progressions of a set and ``_drops`` picks the gcd drops of an
-ascending list.  Every caller outside the two enumeration kernels goes
+lays the progressions of a set and ``_drops`` reads the gcd drops off a
+bitmap of small elements, clearing the multiples of the running gcd at
+each drop.  Every caller outside the two enumeration kernels goes
 through them; the kernels (``tree._expand``, ``rank_enum._grow``) keep
 incremental forms that must agree with them.
 """
@@ -27,7 +28,7 @@ import math
 from typing import Iterable, NamedTuple, Sequence
 
 from .errors import NotASatFSet, NotSaturated, WrongFrobenius
-from .semigroup import NumericalSemigroup, _multiples, _set_bits, _small_window
+from .semigroup import NumericalSemigroup, _multiples, _small_window
 
 __all__ = [
     "SatFSet",
@@ -64,14 +65,23 @@ def _fill(frobenius: int, ns: Sequence[int]) -> int:
     return mask
 
 
-def _drops(small: list[int]) -> list[int]:
-    """The elements of an ascending list at which its running gcd drops."""
-    picks = small[:1]
-    g = picks[0] if picks else 1
-    for s in small:
-        if s % g:
-            g = math.gcd(g, s)
-            picks.append(s)
+def _drops(frobenius: int, small: int) -> list[int]:
+    """The positions, ascending, at which the running gcd of the set bits
+    of ``small`` drops; its bits must lie in 1..F-1.
+
+    The lowest set bit n is the next drop.  With g = gcd(g, n), no
+    multiple of g drops the gcd again, since the gcd only shrinks to
+    divisors of g; so those bits are cleared, and the lowest one left is
+    the next drop.  One ``_multiples`` per drop: the rank, not the number
+    of small elements, sets the cost.
+    """
+    picks = []
+    g = 0
+    while small:
+        n = (small & -small).bit_length() - 1
+        picks.append(n)
+        g = math.gcd(g, n)
+        small &= ~_multiples(g, frobenius)
     return picks
 
 
@@ -124,22 +134,31 @@ def minimal_system(
         )
     if not S.is_saturated():
         raise NotSaturated(f"{S!r} is not saturated")
-    small = _set_bits(S._mask & _small_window(S.frobenius))
-    return SatFSet(S.frobenius, tuple(_drops(small)))
+    F = S.frobenius
+    return SatFSet(F, tuple(_drops(F, S._mask & _small_window(F))))
 
 
 def is_minimal_system(frobenius: int, xs: Iterable[int]) -> bool:
     """Is xs (normalized) exactly the minimal system of its closure?
 
     Happens precisely when every element strictly drops the running gcd
-    of the prefix.  Raises NotASatFSet on unusable input.
+    of the prefix, which ``_drops`` decides on the bitmap of xs.  Raises
+    NotASatFSet on unusable input.
     """
     ns = list(_normalized(xs))
     if not is_sat_set(frobenius, ns):
         raise NotASatFSet(
             f"{ns} extends to no saturated semigroup with Frobenius number {frobenius}"
         )
-    return _drops(ns) == ns
+    # each element at least halves the running gcd, which starts below F,
+    # so a longer list is no minimal system; this also keeps the bitmap
+    # below from costing one F-bit copy per element of a long list
+    if len(ns) > frobenius.bit_length():
+        return False
+    small = 0
+    for n in ns:
+        small |= 1 << n
+    return _drops(frobenius, small) == ns
 
 
 def rank(S: NumericalSemigroup, frobenius: int | None = None) -> int:

@@ -2,6 +2,7 @@ import csv
 import hashlib
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -19,7 +20,7 @@ from satsemi.cli import (
     main,
 )
 from satsemi.extremal import maximal_elements
-from satsemi.satsets import _drops, closure, minimal_system
+from satsemi.satsets import closure, minimal_system
 from satsemi.semigroup import (
     NumericalSemigroup,
     _apery_mask,
@@ -52,15 +53,21 @@ def reference_record(S: NumericalSemigroup, gaps: bool = True) -> dict:
 
     ``gaps=False`` leaves out the gap list, which only json prints.  The
     msg shortcut holds only for saturated members (see ``cli._msg``);
-    the minimal system is ``satsets._drops`` of the small elements, as in
-    ``minimal_system``.
+    the minimal system is the small elements at which the running gcd
+    drops, found by a literal loop over them that shares no code with
+    ``satsets._drops``.
     """
     F = S.frobenius
     mask = S._mask
     small = _set_bits(mask & _small_window(F))
     m = small[0] if small else F + 1
     msg = _set_bits((_apery_mask(F, mask, m) & ~1) | 1 << m)
-    system = _drops(small)
+    system = []
+    g = 0
+    for s in small:
+        if math.gcd(g, s) != g:
+            g = math.gcd(g, s)
+            system.append(s)
     rec = {
         "frobenius": F,
         "small_elements": small,

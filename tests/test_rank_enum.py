@@ -1,6 +1,9 @@
 import gc
+import hashlib
+import json
 import math
 from itertools import product
+from pathlib import Path
 
 import pytest
 
@@ -17,6 +20,8 @@ from satsemi.rank_enum import (
 )
 from satsemi.satsets import closure, minimal_system
 from satsemi.semigroup import NumericalSemigroup, ordinary
+
+PINNED = Path(__file__).resolve().parent.parent / "bench" / "pinned.json"
 
 
 def naive_is_chain(frobenius, ds):
@@ -256,3 +261,30 @@ def test_enumerate_rank_leaves_no_garbage_cycle():
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+def pinned_rank_digest(frobenius, max_rank):
+    # restates bench/workloads.rank_digest: for each p, a SHA-256 over one
+    # line of nonzero small elements per member, then one SHA-256 over the
+    # lines "p:count:digest"
+    outer = hashlib.sha256()
+    total = 0
+    for p in range(max_rank + 1):
+        members = enumerate_rank(frobenius, p)
+        inner = hashlib.sha256()
+        for S in members:
+            inner.update(",".join(map(str, S.nonzero_small_elements())).encode())
+            inner.update(b"\n")
+        outer.update(f"{p}:{len(members)}:{inner.hexdigest()}\n".encode())
+        total += len(members)
+    return outer.hexdigest(), total
+
+
+def test_rank_matches_pinned_benchmark_digest():
+    # one input of the benchmark's rank workload per parity of F, above
+    # the F <= 150 that the witness reference covers, against its pin
+    pinned = json.loads(PINNED.read_text())["rank"]
+    for f in (109, 198):
+        entry = pinned[str(f)]
+        got = pinned_rank_digest(f, entry["max_rank"])
+        assert got == (entry["sha256"], entry["members"]), f

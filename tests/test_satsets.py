@@ -5,9 +5,10 @@ from itertools import combinations
 import pytest
 
 from satsemi.errors import NotASatFSet, NotSaturated, WrongFrobenius
-from satsemi.extremal import tooth
+from satsemi.extremal import maximal_elements, tooth
 from satsemi.satsets import (
     SatFSet,
+    _drops,
     _fill,
     closure,
     is_minimal_system,
@@ -15,7 +16,7 @@ from satsemi.satsets import (
     minimal_system,
     rank,
 )
-from satsemi.semigroup import NumericalSemigroup, ordinary
+from satsemi.semigroup import NumericalSemigroup, _small_window, ordinary
 from satsemi.tree import enumerate_sat
 
 
@@ -130,6 +131,14 @@ def test_is_minimal_system_examples():
     assert is_minimal_system(21, [4, 10])
     assert is_minimal_system(7, [6, 4])  # normalized before testing
     assert is_minimal_system(9, [])
+    assert not is_minimal_system(21, [4, 8, 10])
+    assert is_minimal_system(25, [12, 18, 20])
+    assert not is_minimal_system(25, [12, 18, 20, 22])
+    assert not is_minimal_system(25, [12, 14, 18])
+    assert not is_minimal_system(101, [30, 45, 60])
+    assert is_minimal_system(10**6 + 1, [2])
+    assert not is_minimal_system(10**6 + 1, [4, 6, 8])
+    assert not is_minimal_system(10**6 + 1, range(2, 10**6, 2))
     with pytest.raises(NotASatFSet):
         is_minimal_system(4, [2])
 
@@ -183,3 +192,31 @@ def test_fill_passes_the_validating_constructor():
         S = NumericalSemigroup(f, _fill(f, ns))
         assert S.frobenius == f and S.is_saturated(), (f, ns)
         assert closure(f, ns) == S
+
+
+def literal_drops(small):
+    # the elements of an ascending list at which its running gcd drops
+    picks = []
+    g = 0
+    for s in small:
+        if math.gcd(g, s) != g:
+            g = math.gcd(g, s)
+            picks.append(s)
+    return picks
+
+
+def test_drops_off_the_bitmap_match_the_literal_list():
+    family = [S for f in range(1, 61) for S in enumerate_sat(f)]
+    for S in family + maximal_elements(2000) + [closure(10**6, [3])]:
+        F = S.frobenius
+        want = literal_drops(S.nonzero_small_elements())
+        assert _drops(F, S._mask & _small_window(F)) == want, S
+    for S in family:
+        want = literal_drops(S.nonzero_small_elements())
+        assert minimal_system(S).elements == tuple(want), S
+
+
+def test_is_minimal_system_matches_the_literal_list():
+    for f in (101, 199, 1000):
+        for xs in usable_sets(f, 40, f):
+            assert is_minimal_system(f, xs) == (literal_drops(xs) == xs), (f, xs)
