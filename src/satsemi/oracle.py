@@ -19,6 +19,30 @@ This is the literal test.  {0} | T | {F+1, ->} fails to be closed iff
 some a, b >= 1 in the set have a + b <= F+1 missing (larger sums are
 present).  F is absent, so a, b <= F-1 lie in T; F+1 is present, so
 a + b <= F.  The condition is symmetric in a and b, so a <= b suffices.
+
+Saturation is sliced the same way, but over the closed subsets only.
+``Y[v]`` has lane k set iff v is in the k-th closed mask, for
+0 <= v <= F+1 (a transpose of the masks' binary strings), and every value
+above F+1 is present in every lane.  At F=20 that is 900 lanes against
+2**19: each saturation step is one ``&`` per gcd class, and running those
+over every subset, closed or not, was about six times slower in a trial.
+
+The prefix gcd is tracked per lane by classes: a dict maps g to the lanes
+whose members below s have gcd g, with g = 0 while there is none.  At
+each s the lanes holding s move from class g to class gcd(g, s), and no
+lane moves otherwise, since a lane's prefix gcd changes only when a
+member joins the prefix, and then to gcd(g, s).  That class divides g,
+so the gcd only ever drops, and it divides s, so a class that receives
+lanes at s does not itself move at s.  Each step is (s, g, lanes), the
+lanes holding s with prefix gcd g up to s, and each formulation of
+saturation reads these steps against ``Y`` and returns its failing
+lanes:
+
+- the definition: s >= 1 with s + g missing;
+- over all members, 0 included: the zero step asks for 0 + gcd{0} = 0;
+- every multiple: s >= 1 with some s + k*g <= F+1, k >= 1, missing.
+
+Any lane on which the three disagree raises AssertionError.
 """
 
 from __future__ import annotations
@@ -37,10 +61,6 @@ __all__ = ["BRUTE_FORCE_LIMIT", "Report", "brute_force_sat", "check_all"]
 BRUTE_FORCE_LIMIT = 20
 
 
-def _member(mask: int, frobenius: int, v: int) -> bool:
-    return v >= 0 and (v > frobenius + 1 or (mask >> v) & 1 == 1)
-
-
 def _closed_masks(frobenius: int) -> list[int]:
     """The additively closed subset bitmaps at this F, by ascending subset."""
     lanes = 1 << (frobenius - 1)
@@ -55,14 +75,15 @@ def _closed_masks(frobenius: int) -> list[int]:
             v |= v << span
             span *= 2
         X[i] = v
+    absent = [full ^ x for x in X]
     bad = 0
     for a in range(1, frobenius // 2 + 1):
         hit = 0
         for b in range(a, frobenius - a + 1):
-            hit |= X[b] & ~X[a + b]
+            hit |= X[b] & absent[a + b]
         bad |= X[a] & hit
     # lane b is character b of the reversed binary string
-    lane_bits = bin(full & ~bad)[:1:-1]
+    lane_bits = bin(full ^ bad)[:1:-1]
     base = 1 | (1 << (frobenius + 1))
     out = []
     b = lane_bits.find("1")
@@ -72,35 +93,61 @@ def _closed_masks(frobenius: int) -> list[int]:
     return out
 
 
-def _prefix_gcds(members: list[int]) -> list[int]:
-    out, g = [], 0
-    for s in members:
-        g = math.gcd(g, s)
-        out.append(g)
-    return out
+def _lanes(masks: list[int], frobenius: int) -> list[int]:
+    # the transpose: lane k of Y[v] is bit v of masks[k], for v = 0..F+1;
+    # column j of the last mask first is Y[F+1-j] spelled high lane first
+    width = f"0{frobenius + 2}b"
+    columns = zip(*[format(m, width) for m in reversed(masks)])
+    Y = [int("".join(c), 2) for c in columns]
+    Y.reverse()
+    return Y
 
 
-def _saturated_definition(mask, frobenius, members, gcds) -> bool:
-    # every nonzero member s has s + gcd(members <= s) in the set
-    return all(_member(mask, frobenius, s + g) for s, g in zip(members, gcds))
+def _gcd_steps(Y: list[int], frobenius: int, everyone: int):
+    """Yield (s, g, lanes) for s = 0..F+1: the lanes holding s, split by g,
+    the gcd of their members up to s (the gcd of {0} is 0)."""
+    classes = {0: everyone}
+    for s in range(frobenius + 2):
+        held = Y[s]
+        for g, lanes in list(classes.items()):
+            here = lanes & held
+            if here:
+                h = math.gcd(g, s)
+                yield s, h, here
+                if h != g:
+                    # h divides s, so class h itself does not move at this s
+                    classes[h] = classes.get(h, 0) | here
+                    if lanes == here:
+                        del classes[g]
+                    else:
+                        classes[g] = lanes ^ here
 
 
-def _saturated_with_zero(mask, frobenius, members, gcds) -> bool:
-    # same ranging over all members; the zero term asks for 0 + gcd{0} = 0
-    if not _member(mask, frobenius, 0):
-        return False
-    return all(_member(mask, frobenius, s + g) for s, g in zip(members, gcds))
+def _failing_definition(Y, frobenius, steps) -> int:
+    # a nonzero member s whose s + gcd(members <= s) is missing
+    fail = 0
+    for s, g, lanes in steps:
+        if s:
+            fail |= lanes & ~Y[s + g]
+    return fail
 
 
-def _saturated_multiples(mask, frobenius, members, gcds) -> bool:
-    # every s + k * gcd(members <= s), k >= 1, until past F+1
-    for s, g in zip(members, gcds):
-        v = s + g
-        while v <= frobenius + 1:
-            if not (mask >> v) & 1:
-                return False
-            v += g
-    return True
+def _failing_with_zero(Y, frobenius, steps) -> int:
+    # the same over all members; the zero term asks for 0 + gcd{0} = 0
+    fail = 0
+    for s, g, lanes in steps:
+        fail |= lanes & ~Y[s + g]
+    return fail
+
+
+def _failing_multiples(Y, frobenius, steps) -> int:
+    # a missing s + k * gcd(members <= s), k >= 1, up to F+1
+    fail = 0
+    for s, g, lanes in steps:
+        if s:
+            for v in range(s + g, frobenius + 2, g):
+                fail |= lanes & ~Y[v]
+    return fail
 
 
 def refuse_above_limit(frobenius: int) -> None:
@@ -113,27 +160,29 @@ def brute_force_sat(frobenius: int) -> list[NumericalSemigroup]:
     """Every saturated semigroup with this Frobenius number, by subset search.
 
     Candidates are the 2**(F-1) subsets of {1..F-1}, all tested for
-    closure at once (see the module docstring); above F=20 the search is
-    refused (TooLarge).
+    closure at once, and the closed ones for saturation at once (see the
+    module docstring); above F=20 the search is refused (TooLarge).
     """
     if frobenius < 1:
         raise ValueError("frobenius must be >= 1")
     refuse_above_limit(frobenius)
-    found = []
-    for mask in _closed_masks(frobenius):
-        members = [i for i in range(1, frobenius + 2) if (mask >> i) & 1]
-        gcds = _prefix_gcds(members)
-        votes = (
-            _saturated_definition(mask, frobenius, members, gcds),
-            _saturated_with_zero(mask, frobenius, members, gcds),
-            _saturated_multiples(mask, frobenius, members, gcds),
+    masks = _closed_masks(frobenius)
+    everyone = (1 << len(masks)) - 1
+    # members above F+1 are present in every lane
+    Y = _lanes(masks, frobenius) + [everyone] * (frobenius + 1)
+    steps = list(_gcd_steps(Y, frobenius, everyone))
+    fails = [
+        test(Y, frobenius, steps)
+        for test in (_failing_definition, _failing_with_zero, _failing_multiples)
+    ]
+    split = (fails[0] ^ fails[1]) | (fails[1] ^ fails[2])
+    if split:
+        k = (split & -split).bit_length() - 1
+        raise AssertionError(
+            f"equivalent saturation conditions disagree on {masks[k]:#x} at F={frobenius}"
         )
-        if votes[0] is not votes[1] or votes[1] is not votes[2]:
-            raise AssertionError(
-                f"equivalent saturation conditions disagree on {mask:#x} at F={frobenius}"
-            )
-        if votes[0]:
-            found.append(NumericalSemigroup(frobenius, mask))
+    kept = bin(everyone ^ fails[0])[:1:-1]
+    found = [NumericalSemigroup(frobenius, m) for m, bit in zip(masks, kept) if bit == "1"]
     found.sort(key=lambda s: s.nonzero_small_elements())
     return found
 

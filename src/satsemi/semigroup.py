@@ -260,12 +260,22 @@ class NumericalSemigroup:
         """True when s + gcd_up_to(s) is a member for every nonzero member s.
 
         Members above the Frobenius number need no check: their prefix gcd
-        is 1 and the successor is always present.
+        is 1 and the successor is always present.  The members between two
+        drops of the prefix gcd share it, so each such segment is tested
+        with one shift: the lowest small member n not yet cleared is the
+        next drop, g = gcd(g, n), and clearing the multiples of g leaves
+        the drop after it lowest.
         """
+        F, mask = self.frobenius, self._mask
+        window = (1 << (F + 2)) - 1
+        small = mask & _small_window(F)
         g = 0
-        for s in _set_bits(self._mask & _small_window(self.frobenius)):
-            g = math.gcd(g, s)
-            if s + g not in self:
+        while small:
+            n = (small & -small).bit_length() - 1
+            g = math.gcd(g, n)
+            small &= ~_multiples(g, F)
+            stop = (small & -small).bit_length() - 1 if small else F
+            if ((mask & ((1 << stop) - (1 << n))) << g) & window & ~mask:
                 return False
         return True
 

@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 import satsemi.oracle as oracle
@@ -30,6 +32,55 @@ def _closed(mask, frobenius):
     return True
 
 
+# the per-mask saturation tests the lanes replaced, kept as the reference
+
+
+def _member(mask, frobenius, v):
+    return v >= 0 and (v > frobenius + 1 or (mask >> v) & 1 == 1)
+
+
+def _prefix_gcds(members):
+    out, g = [], 0
+    for s in members:
+        g = math.gcd(g, s)
+        out.append(g)
+    return out
+
+
+def _saturated_definition(mask, frobenius, members, gcds):
+    # every nonzero member s has s + gcd(members <= s) in the set
+    return all(_member(mask, frobenius, s + g) for s, g in zip(members, gcds))
+
+
+def _saturated_with_zero(mask, frobenius, members, gcds):
+    # same ranging over all members; the zero term asks for 0 + gcd{0} = 0
+    if not _member(mask, frobenius, 0):
+        return False
+    return all(_member(mask, frobenius, s + g) for s, g in zip(members, gcds))
+
+
+def _saturated_multiples(mask, frobenius, members, gcds):
+    # every s + k * gcd(members <= s), k >= 1, until past F+1
+    for s, g in zip(members, gcds):
+        v = s + g
+        while v <= frobenius + 1:
+            if not (mask >> v) & 1:
+                return False
+            v += g
+    return True
+
+
+def _saturated(mask, frobenius):
+    members = [i for i in range(1, frobenius + 2) if (mask >> i) & 1]
+    gcds = _prefix_gcds(members)
+    votes = {
+        test(mask, frobenius, members, gcds)
+        for test in (_saturated_definition, _saturated_with_zero, _saturated_multiples)
+    }
+    assert len(votes) == 1, (frobenius, mask)
+    return votes.pop()
+
+
 def test_bit_sliced_closure_matches_literal_test():
     for f in range(1, 17):
         base = 1 | (1 << (f + 1))
@@ -44,6 +95,27 @@ def test_bit_sliced_closure_matches_literal_test():
 def test_closed_subset_counts_are_a124506():
     got = tuple(len(oracle._closed_masks(f)) for f in range(1, 21))
     assert got == A124506
+
+
+def test_bit_sliced_saturation_matches_per_mask_test(corpus):
+    for f in range(1, 17):
+        want = [
+            NumericalSemigroup(f, mask)
+            for mask in oracle._closed_masks(f)
+            if _saturated(mask, f)
+        ]
+        want.sort(key=lambda S: S.nonzero_small_elements())
+        assert list(corpus(f)) == want, f
+
+
+def test_disagreeing_saturation_lanes_raise(monkeypatch):
+    # flip lane 0 (the ordinary semigroup) in one formulation only
+    multiples = oracle._failing_multiples
+    monkeypatch.setattr(
+        oracle, "_failing_multiples", lambda *args: multiples(*args) ^ 1
+    )
+    with pytest.raises(AssertionError, match=r"on 0x401 at F=9\b"):
+        brute_force_sat(9)
 
 
 def test_brute_force_sat7_exact(corpus):

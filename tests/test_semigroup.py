@@ -12,6 +12,7 @@ from satsemi.errors import (
     WouldChangeFrobenius,
 )
 from satsemi.oracle import _closed_masks
+from satsemi.satsets import closure, minimal_system
 from satsemi.semigroup import NumericalSemigroup, ordinary
 
 
@@ -56,15 +57,6 @@ def naive_saturated(S):
             v += g
     assert plain == multiples
     return plain
-
-
-def all_closed_subsets(frobenius):
-    for bits in range(1 << (frobenius - 1)):
-        small = [i for i in range(1, frobenius) if (bits >> (i - 1)) & 1]
-        try:
-            yield NumericalSemigroup.from_small_elements(frobenius, small)
-        except NotClosed:
-            continue
 
 
 # -- constructors -------------------------------------------------------------
@@ -353,9 +345,16 @@ def test_is_saturated_examples(du):
 
 
 def test_is_saturated_matches_definition():
-    for f in (7, 8):
-        for S in all_closed_subsets(f):
-            assert S.is_saturated() == naive_saturated(S)
+    for f in range(1, 15):
+        for mask in _closed_masks(f):
+            S = NumericalSemigroup(f, mask)
+            assert S.is_saturated() == naive_saturated(S), S
+
+
+def test_is_saturated_on_a_wide_closure():
+    # a third of a million small members but one gcd drop; minimal_system
+    # tests saturation first
+    assert minimal_system(closure(10**6, [3])).elements == (3,)
 
 
 def test_is_med(corpus):
