@@ -15,9 +15,11 @@ system.  ``enumerate`` takes them from the walk's nodes, whose gcd-drop
 chains are their minimal systems; genus, maximal, closure and rank read
 it off the small-element bitmap with ``satsets._drops``, which clears
 the multiples of the running gcd at each drop and lists no small
-element.  The formatters spell every other list straight off a bitmap
-(``semigroup._bit_bytes``); the genus and the embedding dimension are
-bit counts.
+element.  The formatters spell every other list straight off a bitmap,
+already joined with the format's separator: the first record through
+``semigroup._set_bits``, every later one a byte at a time from a table of
+rows (``_table_speller``), each mapping a byte value to the labels of its
+set bits.  The genus and the embedding dimension are bit counts.
 """
 
 from __future__ import annotations
@@ -25,8 +27,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from functools import partial
-from itertools import compress
 from typing import Callable, Iterable, Iterator
 
 from .errors import SemigroupError
@@ -37,16 +37,18 @@ from .satsets import _drops, closure, minimal_system
 from .semigroup import (
     NumericalSemigroup,
     _apery_mask,
-    _bit_bytes,
     _gap_window,
+    _set_bits,
     _small_window,
 )
 from .tree import _walk, enumerate_sat_genus
 
 # a record: F, the membership bitmap over 0..F+1, and the minimal system
 _Record = tuple[int, int, list[int]]
-# maps the _bit_bytes of a bitmap to the labels of its set positions
-_Spell = Callable[[bytes], Iterable[str]]
+# maps a bitmap to the labels of its set bits, joined with a separator
+_Spell = Callable[[int], str]
+# the separator of the lists in the json array, one entry a line
+_BLOCK_SEP = ",\n      "
 
 SEMIGROUP_CSV_COLUMNS = (
     "frobenius",
@@ -76,36 +78,35 @@ def _msg(F: int, mask: int) -> tuple[int, int]:
     return m, (_apery_mask(F, mask, m) & ~1) | 1 << m
 
 
-# The formatters take a record and its ``spell``.  The small elements are
-# the set bits of mask & _small_window(F), the gaps the clear bits of
-# _gap_window(F), and the genus is F + 2 - popcount(mask), as mask holds 0
-# and F+1 besides the small elements.
+# The formatters take a record and its ``spell``, which maps a bitmap to
+# the labels of its set bits joined with the format's separator.  The small
+# elements are the set bits of mask & _small_window(F), the gaps the clear
+# bits of _gap_window(F), and the genus is F + 2 - popcount(mask), as mask
+# holds 0 and F+1 besides the small elements.
 
 
 def _text_line(F: int, mask: int, sat_msg: list[int], spell: _Spell) -> str:
-    members = ",".join(spell(_bit_bytes(mask)))
-    msg = ",".join(spell(_bit_bytes(_msg(F, mask)[1])))
     return (
-        f"{members}→ | msg=⟨{msg}⟩"
+        f"{spell(mask)}→ | msg=⟨{spell(_msg(F, mask)[1])}⟩"
         f" | g={F + 2 - mask.bit_count()} | rank={len(sat_msg)}\n"
     )
 
 
-def _block_list(labels: Iterable[str]) -> str:
-    body = ",\n      ".join(labels)
+def _block_list(body: str) -> str:
     return f"[\n      {body}\n    ]" if body else "[]"
 
 
 def _json_block(F: int, mask: int, sat_msg: list[int], spell: _Spell) -> str:
     # json.dumps(record, indent=2) as it sits in the top-level array
     m, msg = _msg(F, mask)
-    small = _block_list(spell(_bit_bytes(mask & _small_window(F))))
-    gaps = _block_list(spell(_bit_bytes(~mask & _gap_window(F))))
+    small = _block_list(spell(mask & _small_window(F)))
+    gaps = _block_list(spell(~mask & _gap_window(F)))
+    system = _block_list(_BLOCK_SEP.join(map(str, sat_msg)))
     return (
         f'  {{\n    "frobenius": {F},\n    "small_elements": {small},\n'
-        f'    "msg": {_block_list(spell(_bit_bytes(msg)))},\n'
+        f'    "msg": {_block_list(spell(msg))},\n'
         f'    "genus": {F + 2 - mask.bit_count()},\n    "multiplicity": {m},\n'
-        f'    "gaps": {gaps},\n    "sat_msg": {_block_list(map(str, sat_msg))},\n'
+        f'    "gaps": {gaps},\n    "sat_msg": {system},\n'
         f'    "embedding_dimension": {msg.bit_count()},\n'
         f'    "rank": {len(sat_msg)}\n  }}'
     )
@@ -114,13 +115,12 @@ def _json_block(F: int, mask: int, sat_msg: list[int], spell: _Spell) -> str:
 def _json_line(F: int, mask: int, sat_msg: list[int], spell: _Spell) -> str:
     # json.dumps(record)
     m, msg = _msg(F, mask)
-    small = ", ".join(spell(_bit_bytes(mask & _small_window(F))))
-    gaps = ", ".join(spell(_bit_bytes(~mask & _gap_window(F))))
     return (
-        f'{{"frobenius": {F}, "small_elements": [{small}], '
-        f'"msg": [{", ".join(spell(_bit_bytes(msg)))}], '
+        f'{{"frobenius": {F}, "small_elements": [{spell(mask & _small_window(F))}], '
+        f'"msg": [{spell(msg)}], '
         f'"genus": {F + 2 - mask.bit_count()}, "multiplicity": {m}, '
-        f'"gaps": [{gaps}], "sat_msg": [{", ".join(map(str, sat_msg))}], '
+        f'"gaps": [{spell(~mask & _gap_window(F))}], '
+        f'"sat_msg": [{", ".join(map(str, sat_msg))}], '
         f'"embedding_dimension": {msg.bit_count()}, "rank": {len(sat_msg)}}}\n'
     )
 
@@ -130,27 +130,54 @@ def _csv_row(F: int, mask: int, sat_msg: list[int], spell: _Spell) -> str:
     m, msg = _msg(F, mask)
     return (
         f"{F},{F + 2 - mask.bit_count()},{m},{msg.bit_count()},{len(sat_msg)},"
-        + ";".join(spell(_bit_bytes(mask & _small_window(F)))) + ","
-        + ";".join(spell(_bit_bytes(msg))) + ","
+        f"{spell(mask & _small_window(F))},{spell(msg)},"
         + ";".join(map(str, sat_msg)) + "\n"
     )
 
 
-def _spell_plain(bits: bytes) -> Iterator[str]:
-    return map(str, compress(range(len(bits)), bits))
+class _Row(dict):
+    """One byte of the label range from ``base``: maps a byte value to the
+    labels of its set bits, each followed by the separator, filled in the
+    first time that value is met."""
+
+    __slots__ = ("base", "sep")
+
+    def __init__(self, base: int, sep: str):
+        self.base = base
+        self.sep = sep
+
+    def __missing__(self, byte: int) -> str:
+        labels = self[byte] = "".join(
+            f"{self.base + j}{self.sep}" for j in range(8) if byte >> j & 1
+        )
+        return labels
+
+
+def _table_speller(F: int, sep: str) -> _Spell:
+    # spells any bitmap over 0..2F+1 a byte at a time: one row per byte
+    # of that range, each byte of the mask up to its highest set bit a dict
+    # lookup, all of it in C
+    rows = [_Row(8 * k, sep) for k in range((2 * F + 9) // 8)]
+    cut = -len(sep)
+    lookup = dict.__getitem__
+
+    def spell(mask: int) -> str:
+        bits = mask.to_bytes((mask.bit_length() + 7) // 8, "little")
+        return "".join(map(lookup, rows, bits))[:cut]
+
+    return spell
 
 
 def _spelled(
-    records: Iterable[_Record],
+    records: Iterable[_Record], sep: str
 ) -> Iterator[tuple[int, int, list[int], _Spell]]:
-    # each record with its speller: str of each position for the first,
-    # then compress over a table of the labels 0..2F+1 built once from the
-    # second record's F, so that a one-record command at huge F never
-    # builds it
-    spell = _spell_plain
+    # each record with its speller: the labels of _set_bits for the first,
+    # then a table of rows built from the second record's F, so that a
+    # one-record command at huge F builds nothing
+    spell: _Spell = lambda mask: sep.join(map(str, _set_bits(mask)))
     for k, (F, mask, sat_msg) in enumerate(records):
         if k == 1:
-            spell = partial(compress, [str(i) for i in range(2 * F + 2)])
+            spell = _table_speller(F, sep)
         yield F, mask, sat_msg, spell
 
 
@@ -168,34 +195,33 @@ def _emit_records(records: Iterable[_Record], fmt: str, stream: bool = False) ->
 
     One F per call: every record must have the same Frobenius number F.
     From the second record on, list entries are spelled from one table of
-    the labels 0..2F+1, built from that record's F, which covers them
-    all: small elements and gaps lie below F+1, and a minimal generator
-    is the multiplicity m <= F+1 or a member of its Apery set, so it is
-    at most F + m <= 2F+1.
+    rows over the labels 0..2F+1, built from that record's F, which covers
+    them all: small elements and gaps lie below F+1, and a minimal
+    generator is the multiplicity m <= F+1 or a member of its Apery set,
+    so it is at most F + m <= 2F+1.
     """
     out = sys.stdout
-    spelled = _spelled(records)
     if fmt == "text":
         count = 0
-        for rec in spelled:
+        for rec in _spelled(records, ","):
             out.write(_text_line(*rec))
             count += 1
         if not stream:
             out.write(f"{count}\n")
     elif fmt == "json":
         if stream:
-            for rec in spelled:
+            for rec in _spelled(records, ", "):
                 out.write(_json_line(*rec))
         else:
             # record by record, so the array is never held in memory
             sep = "[\n"
-            for rec in spelled:
+            for rec in _spelled(records, _BLOCK_SEP):
                 out.write(sep + _json_block(*rec))
                 sep = ",\n"
             out.write("[]\n" if sep == "[\n" else "\n]\n")
     else:
         out.write(",".join(SEMIGROUP_CSV_COLUMNS) + "\n")
-        for rec in spelled:
+        for rec in _spelled(records, ";"):
             out.write(_csv_row(*rec))
 
 

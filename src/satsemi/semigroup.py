@@ -8,9 +8,10 @@ F+1 belongs automatically.  Instances store that window as a bitmap
 packed into one int: membership is a shift and a mask, and set-level
 operations run on machine words.
 
-Every list read off a bitmap comes from ``_bit_bytes``: its bits as 0/1
-bytes, which ``itertools.compress`` turns into the positions
-(``_set_bits``) or into their printed labels (the CLI).  The windows
+Every list of positions read off a bitmap comes from ``_set_bits``: the
+bitmap's bits as 0/1 bytes, with which ``itertools.compress`` selects the
+positions.  The CLI spells its printed lists from ``_set_bits`` for the
+first record, then a byte of the bitmap at a time.  The windows
 read are named once: ``_small_window`` for the nonzero members below F,
 ``_gap_window`` for the places a gap can sit.  Where a computation needs
 members past F+1, ``_ext`` writes out that many bits of the implicit
@@ -403,14 +404,8 @@ def _apery_mask(frobenius: int, mask: int, n: int) -> int:
 _BIT_BYTES = bytes.maketrans(b"01", b"\0\1")
 
 
-def _bit_bytes(mask: int) -> bytes:
-    # the bits of a nonnegative int, lowest first, as 0/1 bytes up to its
-    # highest set bit; itertools.compress with them selects the positions
-    # of the set bits from any sequence indexed by position
-    return format(mask, "b")[::-1].encode().translate(_BIT_BYTES)
-
-
 def _set_bits(mask: int) -> list[int]:
-    # positions of the set bits of a nonnegative int, ascending
-    bits = _bit_bytes(mask)
+    # positions of the set bits of a nonnegative int, ascending: its bits,
+    # lowest first, as 0/1 bytes up to its highest set bit select them
+    bits = format(mask, "b")[::-1].encode().translate(_BIT_BYTES)
     return list(compress(range(len(bits)), bits))

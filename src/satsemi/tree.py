@@ -298,7 +298,8 @@ def _root(frobenius: int) -> _Node:
 
 def _walk(frobenius: int) -> Iterator[list[_Node]]:
     # the layers of the tree as lists of nodes, in the order of iter_layers;
-    # the CLI reads each node's chain from here
+    # the CLI reads each node's chain from here, and enumerate_sat_genus
+    # wraps only the layer it returns
     if frobenius < 1:
         raise ValueError("frobenius must be >= 1")
     table = _FirstLink(frobenius)
@@ -344,9 +345,9 @@ def enumerate_sat_genus(frobenius: int, genus: int) -> list[NumericalSemigroup]:
     if genus > frobenius or genus < min_genus(frobenius):
         return []
     target = frobenius - genus
-    for depth, layer in enumerate(iter_layers(frobenius)):
+    for depth, layer in enumerate(_walk(frobenius)):
         if depth == target:
-            return layer
+            return [NumericalSemigroup._raw(frobenius, mask) for mask, _, _ in layer]
     return []
 
 

@@ -4,6 +4,7 @@ import io
 import json
 import math
 import os
+import random
 import subprocess
 import sys
 from contextlib import redirect_stdout
@@ -16,6 +17,7 @@ from satsemi.cli import (
     SEMIGROUP_CSV_COLUMNS,
     _emit_records,
     _emit_semigroups,
+    _table_speller,
     _walk_records,
     main,
 )
@@ -285,6 +287,29 @@ def test_formatters_match_reference_encoders(fmt, stream):
             want = reference_output([S], fmt, stream)
             assert captured(_emit_semigroups, [S], fmt, stream) == want, (f, S)
             assert captured(_emit_records, [rec], fmt, stream) == want, (f, S)
+
+
+@pytest.mark.parametrize("fmt, stream", FORMATS)
+def test_formatters_match_reference_encoders_at_large_f(fmt, stream):
+    # 2F+2 = 516 labels: the table's last row holds labels 512..519, only
+    # four of them in range.  The maximal members have small multiplicity;
+    # the msg of {0, F+1, ->}, F+1..2F+1, reaches into that row
+    family = maximal_elements(257) + [closure(257, [])]
+    want = reference_output(family, fmt, stream)
+    assert captured(_emit_semigroups, family, fmt, stream) == want
+
+
+@pytest.mark.parametrize("sep", [",", ";", ", ", ",\n      "])
+def test_table_speller_joins_the_set_bits(sep):
+    # every residue of 2F+2 mod 8 up to F=40, and rows past the first few
+    rng = random.Random(29)
+    for f in [*range(1, 41), 127, 128, 1000]:
+        width = 2 * f + 2
+        spell = _table_speller(f, sep)
+        masks = [0, 1 << (width - 1), (1 << width) - 1]
+        masks += [rng.getrandbits(width) for _ in range(20)]
+        for mask in masks * 2:  # the second pass reads entries already filled
+            assert spell(mask) == sep.join(map(str, _set_bits(mask))), (f, mask)
 
 
 @pytest.fixture(scope="module")

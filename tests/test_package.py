@@ -1,12 +1,15 @@
-"""The package exports what README documents, and little else."""
+"""The package exports what README documents, and little else, and parses
+on the oldest Python that pyproject.toml declares."""
 
+import ast
 import re
 from pathlib import Path
 
 import satsemi
 import satsemi.errors
 
-README = Path(__file__).resolve().parent.parent / "README.md"
+ROOT = Path(__file__).resolve().parent.parent
+README = ROOT / "README.md"
 
 
 def _readme_imports() -> set[str]:
@@ -25,3 +28,16 @@ def test_exports_are_readme_names_return_types_and_errors():
     assert len(satsemi.__all__) == len(set(satsemi.__all__))
     for name in satsemi.__all__:
         assert hasattr(satsemi, name)
+
+
+def test_sources_parse_on_the_declared_python_floor():
+    # the tests run on a newer Python, which accepts syntax the floor lacks
+    floor = re.search(
+        r'requires-python = ">=(\d+)\.(\d+)"', (ROOT / "pyproject.toml").read_text()
+    )
+    version = (int(floor.group(1)), int(floor.group(2)))
+    assert version == (3, 10)
+    sources = sorted(Path(satsemi.__file__).parent.glob("*.py"))
+    assert sources
+    for path in sources:
+        ast.parse(path.read_text(encoding="utf-8"), str(path), feature_version=version)
