@@ -2,18 +2,20 @@
 
 Subcommands mirror the library: enumerate, genus, maximal, min-genus,
 closure, min-gens, rank, feasible, verify.  Formats: text (one semigroup
-per line, then a count footer), json (an array, written record by record
-so memory stays flat) and csv.  ``enumerate --stream`` drops the text
-footer and writes json as one object per line.  Exit codes: 0 on
-success, 1 on a domain error (one-line diagnostic on stderr), 2 on a
-usage error.  Set SATSEMI_COLOR=1 to color verify status lines; data
-lines are never decorated.
+per line, then a count footer), json (an array, written record by
+record) and csv.  ``enumerate --stream`` drops the text footer and
+writes json as one object per line.  Only ``enumerate`` streams: it
+writes the walk's members a layer at a time, while ``rank``, ``genus``
+and ``maximal`` build their whole list before the first write.  Exit
+codes: 0 on success, 1 on a domain error (one-line diagnostic on
+stderr), 2 on a usage error.  Set SATSEMI_COLOR=1 to color verify status
+lines; data lines are never decorated.
 
 The commands that print members build each record as (F, mask,
 sat_msg): the Frobenius number, the membership bitmap and the minimal
 system.  ``enumerate`` takes them from the walk's nodes, whose gcd-drop
 chains are their minimal systems; genus, maximal, closure and rank read
-it off the small-element bitmap with ``satsets._drops``, which clears
+it off the small-element bitmap with ``semigroup._drops``, which clears
 the multiples of the running gcd at each drop and lists no small
 element.  The formatters spell every other list straight off a bitmap,
 already joined with the format's separator: the first record through
@@ -33,10 +35,11 @@ from .errors import SemigroupError
 from .extremal import maximal_elements, min_genus
 from .oracle import check_all, refuse_above_limit
 from .rank_enum import enumerate_rank, feasible_rank
-from .satsets import _drops, closure, minimal_system
+from .satsets import closure, minimal_system
 from .semigroup import (
     NumericalSemigroup,
     _apery_mask,
+    _drops,
     _gap_window,
     _set_bits,
     _small_window,
@@ -184,7 +187,7 @@ def _spelled(
 def _walk_records(F: int) -> Iterator[_Record]:
     # enumerate's records straight from the walk: the n_i of a node's
     # gcd-drop chain are the members at which the running gcd drops, that
-    # is satsets._drops of its small elements, its minimal system
+    # is semigroup._drops of its small elements, its minimal system
     for layer in _walk(F):
         for mask, chain, _ in layer:
             yield F, mask, [n for n, _ in chain]
@@ -230,8 +233,8 @@ def _emit_semigroups(
 ) -> None:
     """Write saturated members of one Sat(F); see ``_emit_records``.
 
-    The minimal system is ``satsets._drops`` read off the small-element
-    bitmap, as in ``minimal_system``.
+    The minimal system is ``semigroup._drops`` read off the small-element
+    bitmap, as in ``satsets.minimal_system``.
     """
     records = (
         (S.frobenius, S._mask, _drops(S.frobenius, S._mask & _small_window(S.frobenius)))

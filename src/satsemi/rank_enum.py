@@ -251,23 +251,20 @@ def enumerate_rank(frobenius: int, p: int) -> list[NumericalSemigroup]:
     # the root bitmap comes first: at an F too large to represent it fails
     # at once, before the tables below take F^2 bits
     root = 1 | (1 << (frobenius + 1))
-    low = [(1 << x) - 1 for x in range(frobenius + 1)]
     # mult[g]: the multiples of g in g..F-1, from _multiples; mult[0] is
     # empty, so the root state (n, d) = (0, 0) lays no progression and
     # gcd(0, n1) = n1
     mult = [0] + [_multiples(g, frobenius) for g in range(1, frobenius)]
-    rows = _next_table(frobenius, p, mult, low)
+    rows = _next_table(frobenius, p, mult)
     out: list[NumericalSemigroup] = []
     # from rank 3 on a few prefix gcds serve every leaf-parent state, so
     # their last progressions are kept; below that each state has its own
     tails: dict[int, tuple[list[int], list[int]]] | None = {} if p >= 3 else None
-    _grow(out, frobenius, rows, mult, low, tails, 0, 0, root, p)
+    _grow(out, frobenius, rows, mult, tails, 0, 0, root, p)
     return out
 
 
-def _next_table(
-    frobenius: int, p: int, mult: list[int], low: list[int]
-) -> list[list[int]]:
+def _next_table(frobenius: int, p: int, mult: list[int]) -> list[list[int]]:
     """rows[r][d], for 1 <= r < p and 1 <= d < F, is the bitmap of the
     next generators n' < F a state with prefix gcd d can take when r
     generators remain, n' among them: d does not divide n', and the state
@@ -292,7 +289,7 @@ def _next_table(
             for g in gs:
                 b = bound[g]
                 if b > g:
-                    acc |= mult[g] & low[b]
+                    acc |= mult[g] & ((1 << b) - 1)
             row.append(acc & ~mult[d])
         rows.append(row)
         bound = [nexts.bit_length() - 1 for nexts in row]
@@ -306,7 +303,6 @@ def _grow(
     frobenius: int,
     rows: list[list[int]],
     mult: list[int],
-    low: list[int],
     tails: dict[int, tuple[list[int], list[int]]] | None,
     n: int,
     d: int,
@@ -317,40 +313,40 @@ def _grow(
     below n in mask, append every member it completes to, in order.
 
     A member's bitmap is built progression by progression as the search
-    descends, each cut from ``mult[d]``, the ``_multiples`` of d below F,
-    and must equal ``satsets._fill`` of its minimal system, which cuts
-    the same progressions from ``_multiples``.  A leaf adds the last
-    progression: each member is one OR of its state's base with a tail
-    of ``_last_progressions``, read from ``tails`` when it is a dict
-    (see the module docstring).
+    descends, each cut from ``mult[d]``, the ``_multiples`` of d below F:
+    below n by a shift down and up, as ``satsets._fill`` cuts it, and
+    below the next generator by a mask.  It must equal ``_fill`` of its
+    minimal system.  A leaf adds the last progression: each member is
+    one OR of its state's base with a tail of ``_last_progressions``,
+    read from ``tails`` when it is a dict (see the module docstring).
     """
-    step = mult[d] & ~low[n]
+    step = mult[d] >> n << n
     if r > 1:
-        for m in _set_bits(rows[r][d] & ~low[n + 1]):
-            child = mask | (step & low[m])
+        for m in _set_bits(rows[r][d] >> (n + 1) << (n + 1)):
+            child = mask | (step & ((1 << m) - 1))
             g = math.gcd(d, m)
-            _grow(out, frobenius, rows, mult, low, tails, m, g, child, r - 1)
+            _grow(out, frobenius, rows, mult, tails, m, g, child, r - 1)
         return
     if tails is None:
-        ms, ts = _last_progressions(rows[1][d], mult, low, d)
+        ms, ts = _last_progressions(rows[1][d], mult, d)
     elif d in tails:
         ms, ts = tails[d]
     else:
-        ms, ts = tails[d] = _last_progressions(rows[1][d], mult, low, d)
+        ms, ts = tails[d] = _last_progressions(rows[1][d], mult, d)
     base = mask | step
     rest = islice(ts, bisect_right(ms, n), None)
     out.extend([_raw(frobenius, base | t) for t in rest])
 
 
 def _last_progressions(
-    nexts: int, mult: list[int], low: list[int], d: int
+    nexts: int, mult: list[int], d: int
 ) -> tuple[list[int], list[int]]:
     """The last generators m > d of a leaf-parent state with prefix gcd d,
-    ascending, and the last progression ``mult[gcd(d, m)] & ~low[m]`` of
+    ascending, and the last progression ``mult[gcd(d, m)] >> m << m`` of
     each.  At the root (d = 0) gcd(0, m) = m, and ``mult[m]`` is reused
     as it is, since it starts at m.
     """
-    ms = _set_bits(nexts & ~low[d + 1])
+    ms = _set_bits(nexts >> (d + 1) << (d + 1))
     if not d:
         return ms, [mult[m] for m in ms]
-    return ms, [mult[math.gcd(d, m)] & ~low[m] for m in ms]
+    return ms, [mult[math.gcd(d, m)] >> m << m for m in ms]

@@ -15,11 +15,10 @@ minimal set that generates it this way; the size of that set is the rank
 of the member.
 
 Each direction has one implementation on the membership bitmap: ``_fill``
-lays the progressions of a set and ``_drops`` reads the gcd drops off a
-bitmap of small elements, clearing the multiples of the running gcd at
-each drop.  Every caller outside the two enumeration kernels goes
-through them; the kernels (``tree._expand``, ``rank_enum._grow``) keep
-incremental forms that must agree with them.
+lays the progressions of a set and ``semigroup._drops`` (shared with
+``is_saturated``) reads the gcd drops off a bitmap of small elements.
+Every caller outside the two enumeration kernels goes through them; the
+kernels (``tree._expand``, ``rank_enum._grow``) keep incremental forms.
 """
 
 from __future__ import annotations
@@ -28,7 +27,7 @@ import math
 from typing import Iterable, NamedTuple, Sequence
 
 from .errors import NotASatFSet, NotSaturated, WrongFrobenius
-from .semigroup import NumericalSemigroup, _multiples, _small_window
+from .semigroup import NumericalSemigroup, _drops, _multiples, _small_window
 
 __all__ = [
     "SatFSet",
@@ -63,26 +62,6 @@ def _fill(frobenius: int, ns: Sequence[int]) -> int:
         g = math.gcd(g, n)
         mask |= _multiples(g, stop) >> n << n
     return mask
-
-
-def _drops(frobenius: int, small: int) -> list[int]:
-    """The positions, ascending, at which the running gcd of the set bits
-    of ``small`` drops; its bits must lie in 1..F-1.
-
-    The lowest set bit n is the next drop.  With g = gcd(g, n), no
-    multiple of g drops the gcd again, since the gcd only shrinks to
-    divisors of g; so those bits are cleared, and the lowest one left is
-    the next drop.  One ``_multiples`` per drop: the rank, not the number
-    of small elements, sets the cost.
-    """
-    picks = []
-    g = 0
-    while small:
-        n = (small & -small).bit_length() - 1
-        picks.append(n)
-        g = math.gcd(g, n)
-        small &= ~_multiples(g, frobenius)
-    return picks
 
 
 def is_sat_set(frobenius: int, xs: Iterable[int]) -> bool:

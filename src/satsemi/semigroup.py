@@ -16,7 +16,8 @@ read are named once: ``_small_window`` for the nonzero members below F,
 ``_gap_window`` for the places a gap can sit.  Where a computation needs
 members past F+1, ``_ext`` writes out that many bits of the implicit
 tail.  Every bitmap of the multiples of a step comes from
-``_multiples``.
+``_multiples``, and every list of the gcd drops of the small elements
+from ``_drops``; only the enumeration kernels keep incremental forms.
 
 The set of all nonnegative integers has no largest gap and is therefore
 not representable; constructors reject it.
@@ -245,15 +246,13 @@ class NumericalSemigroup:
         """gcd of all members <= s; s itself must be a nonzero member."""
         if s <= 0 or s not in self:
             raise NotAMember(f"{s} is not a nonzero member")
-        if s >= self.frobenius + 2:
+        F = self.frobenius
+        if s >= F + 2:
             return 1  # the prefix contains the consecutive pair F+1, F+2
-        g = 0
-        for j in self.members_up_to(s):
-            if j:
-                g = math.gcd(g, j)
-                if g == 1:
-                    break
-        return g
+        # the running gcd changes only at its drops, so theirs is the gcd
+        # of every member up to s; F+1 lies past the small window
+        drops = _drops(F, self._mask & _small_window(F) & ((2 << s) - 1))
+        return math.gcd(*drops, F + 1) if s > F else math.gcd(*drops)
 
     # -- predicates --------------------------------------------------------
 
@@ -262,20 +261,16 @@ class NumericalSemigroup:
 
         Members above the Frobenius number need no check: their prefix gcd
         is 1 and the successor is always present.  The members between two
-        drops of the prefix gcd share it, so each such segment is tested
-        with one shift: the lowest small member n not yet cleared is the
-        next drop, g = gcd(g, n), and clearing the multiples of g leaves
-        the drop after it lowest.
+        drops of the prefix gcd share it, so each segment [n_i, n_{i+1})
+        between consecutive drops that ``_drops`` reads (the last segment
+        ending at F) is tested with one shift by its gcd.
         """
         F, mask = self.frobenius, self._mask
         window = (1 << (F + 2)) - 1
-        small = mask & _small_window(F)
+        ns = _drops(F, mask & _small_window(F))
         g = 0
-        while small:
-            n = (small & -small).bit_length() - 1
+        for n, stop in zip(ns, (*ns[1:], F)):
             g = math.gcd(g, n)
-            small &= ~_multiples(g, F)
-            stop = (small & -small).bit_length() - 1 if small else F
             if ((mask & ((1 << stop) - (1 << n))) << g) & window & ~mask:
                 return False
         return True
@@ -392,6 +387,26 @@ def _multiples(g: int, stop: int) -> int:
         run |= run << k * g
         k *= 2
     return run | run << (n - k) * g if n > 0 else 0
+
+
+def _drops(frobenius: int, small: int) -> list[int]:
+    """The positions, ascending, at which the running gcd of the set bits
+    of ``small`` drops; its bits must lie in 1..F-1.
+
+    The lowest set bit n is the next drop.  With g = gcd(g, n), no
+    multiple of g drops the gcd again, since the gcd only shrinks to
+    divisors of g; so those bits are cleared, and the lowest one left is
+    the next drop.  One ``_multiples`` per drop: the rank, not the number
+    of small elements, sets the cost.
+    """
+    picks = []
+    g = 0
+    while small:
+        n = (small & -small).bit_length() - 1
+        picks.append(n)
+        g = math.gcd(g, n)
+        small &= ~_multiples(g, frobenius)
+    return picks
 
 
 def _apery_mask(frobenius: int, mask: int, n: int) -> int:

@@ -251,7 +251,7 @@ def _expand(frobenius: int, layer: list[_Node], table: _FirstLink) -> list[_Node
     module docstring for stages 1-4.
 
     A child's chain is built link by link from its parent's, and its n_i
-    must equal ``satsets._drops`` of the child's small elements.
+    must equal ``semigroup._drops`` of the child's small elements.
     """
     top = frobenius + 1
     divs = table.divs

@@ -57,7 +57,7 @@ def reference_record(S: NumericalSemigroup, gaps: bool = True) -> dict:
     msg shortcut holds only for saturated members (see ``cli._msg``);
     the minimal system is the small elements at which the running gcd
     drops, found by a literal loop over them that shares no code with
-    ``satsets._drops``.
+    ``semigroup._drops``.
     """
     F = S.frobenius
     mask = S._mask

@@ -250,6 +250,14 @@ def test_enumerate_rank_matches_witness_reference():
             p += 1
 
 
+def test_rank_one_at_large_frobenius_is_one_closure_per_non_divisor():
+    # the root's last progressions, and shift cuts around byte boundaries,
+    # far above the F the witness reference reaches
+    for f in (1000, 1023, 1024, 1025):
+        want = [closure(f, [m]) for m in range(2, f) if f % m]
+        assert enumerate_rank(f, 1) == want, f
+
+
 def test_enumerate_rank_leaves_no_garbage_cycle():
     # a search function that calls itself as a closure would hold the
     # result list in a reference cycle, which only the cyclic collector

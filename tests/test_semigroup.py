@@ -326,6 +326,16 @@ def test_gcd_up_to_multiplicity_and_tail(corpus):
         assert S.gcd_up_to(S.frobenius + 3) == 1
 
 
+def test_gcd_up_to_matches_definition():
+    # every nonzero member up to F+2 of every closed mask, saturated or not
+    for f in range(1, 15):
+        for mask in _closed_masks(f):
+            S = NumericalSemigroup(f, mask)
+            members = [s for s in S.members_up_to(f + 2) if s]
+            for k, s in enumerate(members, 1):
+                assert S.gcd_up_to(s) == math.gcd(*members[:k]), (S, s)
+
+
 def test_gcd_up_to_rejects():
     S = ordinary(8)
     with pytest.raises(NotAMember):
