@@ -8,7 +8,8 @@ writes json as one object per line.  Only ``enumerate`` streams: it
 writes the walk's members a layer at a time, while ``rank``, ``genus``
 and ``maximal`` build their whole list before the first write.  Exit
 codes: 0 on success, 1 on a domain error (one-line diagnostic on
-stderr), 2 on a usage error.  Set SATSEMI_COLOR=1 to color verify status
+stderr), 2 on a usage error; 141 when the reader closes stdout and 130
+on Ctrl-C, both silent.  Set SATSEMI_COLOR=1 to color verify status
 lines; data lines are never decorated.
 
 The commands that print members build each record as (F, mask,
@@ -492,7 +493,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.run(args)
+        code = args.run(args)
+        # a closed pipe must raise here, inside the handler, not at exit
+        sys.stdout.flush()
+        return code
     except SemigroupError as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
@@ -500,6 +504,15 @@ def main(argv: list[str] | None = None) -> int:
         # a bitmap over 0..F+1 cannot be built, e.g. for F = 10**18
         print("error: the input is too large to represent", file=sys.stderr)
         return 1
+    except BrokenPipeError:
+        # the reader went away (`| head`): point stdout at devnull so the
+        # flush at exit cannot raise again, and exit as SIGPIPE would
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 141  # 128 + SIGPIPE
+    except KeyboardInterrupt:
+        return 130  # 128 + SIGINT
 
 
 if __name__ == "__main__":

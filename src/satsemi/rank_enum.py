@@ -40,7 +40,10 @@ bound_r(h').  Now an n' with gcd(d, n') = h is a multiple of every
 divisor g of h.  Hence n' lies in the OR, over the divisors 1 < g < d
 of d, of the multiples of g below bound_{r-1}(g), exactly when n' is
 below bound_{r-1}(h) (for h = 1 never, and nothing completes from a
-gcd of 1).  Removing the multiples of d leaves nxt[r][d].
+gcd of 1).  Removing the multiples of d leaves nxt[r][d].  Each row is
+built as a sieve: every g cuts its multiples below bound_{r-1}(g) once
+and ORs them into each proper multiple d = 2g, 3g, .. below F, so no
+divisor lists are kept.
 
 The search comes out in canonical order, ascending by small elements,
 with no sort.  Take two siblings, continued with next generators
@@ -61,7 +64,9 @@ below m, and the multiples of g from m below F.  As g divides d, every
 multiple of d from m on is a multiple of g from m on, so the cut at m
 can be dropped: the member is base | tail, with base = mask | (the
 multiples of d from n up) computed once per state, and tail = (the
-multiples of g from m up) depending on (d, m) alone.  From rank 3 on
+multiples of g from m up) depending on (d, m) alone.  The leaf loop
+builds each member in place, as ``NumericalSemigroup._raw`` would, since
+a call per member cost more than the search.  From rank 3 on
 the tails are kept per d, because a few prefix gcds serve every state
 (at F = 199, p = 3, 45 of them serve 39,919 members).  Below rank 3
 nothing would be shared: at p = 1 the root is the only leaf parent, and
@@ -80,8 +85,6 @@ from .errors import NotASatSequence
 from .extremal import least_non_divisor
 from .satsets import closure
 from .semigroup import NumericalSemigroup, _multiples, _set_bits, ordinary
-
-_raw = NumericalSemigroup._raw
 
 __all__ = [
     "is_sat_sequence",
@@ -269,28 +272,26 @@ def _next_table(frobenius: int, p: int, mult: list[int]) -> list[list[int]]:
     next generators n' < F a state with prefix gcd d can take when r
     generators remain, n' among them: d does not divide n', and the state
     (n', gcd(d, n')) can still be completed with r - 1 more.  rows[p][0]
-    is the bitmap of the first generators.
+    is the bitmap of the first generators.  Each row is sieved from the
+    bounds of the row before (see the module docstring).
     """
     F = frobenius
-    divisors: list[list[int]] = [[] for _ in range(F)]  # proper, above 1
-    for g in range(2, F):
-        for d in range(2 * g, F, g):
-            divisors[d].append(g)
     # a state (n, d) with r generators left can be completed iff
     # n < bound[d]; with none left iff d does not divide F
     bound = [F if d and F % d else 0 for d in range(F)]
     rows: list[list[int]] = [[]]
     for _ in range(p - 1):
-        # the OR of the multiples of each divisor g below bound[g] keeps
-        # exactly the n' below bound[gcd(d, n')] (see the module docstring)
-        row = []
-        for d, gs in enumerate(divisors):
-            acc = 0
-            for g in gs:
-                b = bound[g]
-                if b > g:
-                    acc |= mult[g] & ((1 << b) - 1)
-            row.append(acc & ~mult[d])
+        # sieve: each g ORs its multiples below bound[g] into every proper
+        # multiple d of g, which keeps exactly the n' below
+        # bound[gcd(d, n')] (see the module docstring)
+        acc = [0] * F
+        for g in range(2, F):
+            b = bound[g]
+            if b > g:
+                cut = mult[g] & ((1 << b) - 1)
+                for d in range(2 * g, F, g):
+                    acc[d] |= cut
+        row = [a & ~m for a, m in zip(acc, mult)]
         rows.append(row)
         bound = [nexts.bit_length() - 1 for nexts in row]
     first = sum(1 << d for d in range(2, F) if d < bound[d])
@@ -318,7 +319,9 @@ def _grow(
     below the next generator by a mask.  It must equal ``_fill`` of its
     minimal system.  A leaf adds the last progression: each member is
     one OR of its state's base with a tail of ``_last_progressions``,
-    read from ``tails`` when it is a dict (see the module docstring).
+    read from ``tails`` when it is a dict (see the module docstring),
+    and is built in the loop without a call, as ``NumericalSemigroup._raw``
+    builds one.
     """
     step = mult[d] >> n << n
     if r > 1:
@@ -334,8 +337,14 @@ def _grow(
     else:
         ms, ts = tails[d] = _last_progressions(rows[1][d], mult, d)
     base = mask | step
-    rest = islice(ts, bisect_right(ms, n), None)
-    out.extend([_raw(frobenius, base | t) for t in rest])
+    # NumericalSemigroup._raw inlined: a call per member cost more than
+    # the search
+    new, append = object.__new__, out.append
+    for t in islice(ts, bisect_right(ms, n), None):
+        S = new(NumericalSemigroup)
+        S.frobenius = frobenius
+        S._mask = base | t
+        append(S)
 
 
 def _last_progressions(

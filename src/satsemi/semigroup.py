@@ -93,7 +93,8 @@ class NumericalSemigroup:
 
     @classmethod
     def _raw(cls, frobenius: int, mask: int) -> "NumericalSemigroup":
-        # trusted path for values already known valid
+        # trusted path for values already known valid; rank_enum._grow
+        # inlines a copy in its leaf loop, so keep the two alike
         self = object.__new__(cls)
         self.frobenius = frobenius
         self._mask = mask

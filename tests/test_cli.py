@@ -5,6 +5,7 @@ import json
 import math
 import os
 import random
+import signal
 import subprocess
 import sys
 from contextlib import redirect_stdout
@@ -432,12 +433,49 @@ def test_jobs_outputs_byte_identical():
     assert runs[0] == runs[1] == runs[2]
 
 
-def fresh_interpreter(code):
+def child_env():
     src = str(Path(satsemi.__file__).resolve().parent.parent)
-    env = {**os.environ, "PYTHONPATH": src}
+    return {**os.environ, "PYTHONPATH": src}
+
+
+def fresh_interpreter(code):
     return subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        [sys.executable, "-c", code], env=child_env(), capture_output=True, text=True, check=True
     ).stdout
+
+
+def cli_process(*argv, **popen_args):
+    # F=199 writes megabytes, so the child is still writing after line one
+    return subprocess.Popen(
+        [sys.executable, "-m", "satsemi.cli", *argv],
+        env=child_env(),
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        **popen_args,
+    )
+
+
+def test_closed_pipe_exits_quietly():
+    proc = cli_process("enumerate", "--frobenius", "199")
+    proc.stdout.readline()
+    proc.stdout.close()
+    assert proc.stderr.read() == b""
+    assert proc.wait(timeout=10) == 141
+
+
+def test_interrupt_exits_quietly():
+    # a shell that starts the child in the background would ignore SIGINT
+    proc = cli_process(
+        "enumerate",
+        "--frobenius",
+        "199",
+        preexec_fn=lambda: signal.signal(signal.SIGINT, signal.SIG_DFL),
+    )
+    proc.stdout.readline()
+    proc.send_signal(signal.SIGINT)
+    _, err = proc.communicate(timeout=10)
+    assert err == b""
+    assert proc.returncode == 130
 
 
 def test_cli_import_skips_dataclasses():

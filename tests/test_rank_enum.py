@@ -10,6 +10,7 @@ import pytest
 from satsemi.errors import NotASatSequence
 from satsemi.extremal import tooth
 from satsemi.rank_enum import (
+    _next_table,
     coefficient_tuples,
     enumerate_rank,
     feasible_rank,
@@ -19,7 +20,7 @@ from satsemi.rank_enum import (
     witness_to_semigroup,
 )
 from satsemi.satsets import closure, minimal_system
-from satsemi.semigroup import NumericalSemigroup, ordinary
+from satsemi.semigroup import NumericalSemigroup, _multiples, ordinary
 
 PINNED = Path(__file__).resolve().parent.parent / "bench" / "pinned.json"
 
@@ -250,6 +251,41 @@ def test_enumerate_rank_matches_witness_reference():
             p += 1
 
 
+def reference_next_table(frobenius, p, mult):
+    # each row entry ORs, over the proper divisors 1 < g < d of d listed
+    # per d, the multiples of g below bound[g]
+    F = frobenius
+    divisors = [[] for _ in range(F)]
+    for g in range(2, F):
+        for d in range(2 * g, F, g):
+            divisors[d].append(g)
+    bound = [F if d and F % d else 0 for d in range(F)]
+    rows = [[]]
+    for _ in range(p - 1):
+        row = []
+        for d, gs in enumerate(divisors):
+            acc = 0
+            for g in gs:
+                b = bound[g]
+                if b > g:
+                    acc |= mult[g] & ((1 << b) - 1)
+            row.append(acc & ~mult[d])
+        rows.append(row)
+        bound = [nexts.bit_length() - 1 for nexts in row]
+    first = sum(1 << d for d in range(2, F) if d < bound[d])
+    rows.append([first])
+    return rows
+
+
+def test_next_table_matches_divisor_reference():
+    # a row letting in a generator that cannot complete would only add a
+    # dead branch, which no listed member shows
+    for f in [*range(1, 61), 101, 150, 199]:
+        mult = [0] + [_multiples(g, f) for g in range(1, f)]
+        for p in range(1, 7):
+            assert _next_table(f, p, mult) == reference_next_table(f, p, mult), (f, p)
+
+
 def test_rank_one_at_large_frobenius_is_one_closure_per_non_divisor():
     # the root's last progressions, and shift cuts around byte boundaries,
     # far above the F the witness reference reaches
@@ -265,8 +301,10 @@ def test_enumerate_rank_leaves_no_garbage_cycle():
     gc.collect()
     gc.disable()
     try:
-        enumerate_rank(101, 3)
-        assert gc.collect() == 0
+        # the root leaf (p = 1), per-state tails (p = 2), shared tails (p >= 3)
+        for p in (1, 2, 3, 4):
+            enumerate_rank(101, p)
+            assert gc.collect() == 0, p
     finally:
         gc.enable()
 
