@@ -229,9 +229,7 @@ def _emit_records(records: Iterable[_Record], fmt: str, stream: bool = False) ->
             out.write(_csv_row(*rec))
 
 
-def _emit_semigroups(
-    semigroups: Iterable[NumericalSemigroup], fmt: str, stream: bool = False
-) -> None:
+def _emit_semigroups(semigroups: Iterable[NumericalSemigroup], fmt: str) -> None:
     """Write saturated members of one Sat(F); see ``_emit_records``.
 
     The minimal system is ``semigroup._drops`` read off the small-element
@@ -241,7 +239,7 @@ def _emit_semigroups(
         (S.frobenius, S._mask, _drops(S.frobenius, S._mask & _small_window(S.frobenius)))
         for S in semigroups
     )
-    _emit_records(records, fmt, stream)
+    _emit_records(records, fmt)
 
 
 def _emit_value(fmt: str, columns: tuple[str, ...], record: dict, text: str) -> None:

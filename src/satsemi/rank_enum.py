@@ -294,7 +294,10 @@ def _next_table(frobenius: int, p: int, mult: list[int]) -> list[list[int]]:
         row = [a & ~m for a, m in zip(acc, mult)]
         rows.append(row)
         bound = [nexts.bit_length() - 1 for nexts in row]
-    first = sum(1 << d for d in range(2, F) if d < bound[d])
+    # the first generators read as one binary numeral, digit d for d = F-1
+    # down to 0: linear in F, where adding F shifted ints is quadratic
+    digits = ["1" if 1 < d < bound[d] else "0" for d in range(F - 1, -1, -1)]
+    first = int("".join(digits), 2)
     rows.append([first])
     return rows
 

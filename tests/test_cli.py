@@ -2,7 +2,6 @@ import csv
 import hashlib
 import io
 import json
-import math
 import os
 import random
 import signal
@@ -32,6 +31,7 @@ from satsemi.semigroup import (
     _small_window,
 )
 from satsemi.tree import enumerate_sat
+from test_satsets import literal_drops
 
 PINNED = Path(__file__).resolve().parent.parent / "bench" / "pinned.json"
 
@@ -50,12 +50,11 @@ def captured(emit, *args):
     return out.getvalue()
 
 
-def reference_record(S: NumericalSemigroup, gaps: bool = True) -> dict:
+def reference_record(S: NumericalSemigroup) -> dict:
     """The output record of a saturated member as a dict, the reference
     that the CLI's formatters are compared against.
 
-    ``gaps=False`` leaves out the gap list, which only json prints.  The
-    msg shortcut holds only for saturated members (see ``cli._msg``);
+    The msg shortcut holds only for saturated members (see ``cli._msg``);
     the minimal system is the small elements at which the running gcd
     drops, found by a literal loop over them that shares no code with
     ``semigroup._drops``.
@@ -65,25 +64,18 @@ def reference_record(S: NumericalSemigroup, gaps: bool = True) -> dict:
     small = _set_bits(mask & _small_window(F))
     m = small[0] if small else F + 1
     msg = _set_bits((_apery_mask(F, mask, m) & ~1) | 1 << m)
-    system = []
-    g = 0
-    for s in small:
-        if math.gcd(g, s) != g:
-            g = math.gcd(g, s)
-            system.append(s)
-    rec = {
+    system = literal_drops(small)
+    return {
         "frobenius": F,
         "small_elements": small,
         "msg": msg,
         "genus": F - len(small),
         "multiplicity": m,
+        "gaps": _set_bits(~mask & _gap_window(F)),
+        "sat_msg": system,
+        "embedding_dimension": len(msg),
+        "rank": len(system),
     }
-    if gaps:
-        rec["gaps"] = _set_bits(~mask & _gap_window(F))
-    rec["sat_msg"] = system
-    rec["embedding_dimension"] = len(msg)
-    rec["rank"] = len(system)
-    return rec
 
 
 def test_enumerate_text_f7():
@@ -174,120 +166,104 @@ def general_record(S):
     return rec
 
 
-def test_one_pass_record_matches_general_path():
-    # pins the maximal-embedding-dimension shortcut for msg against
-    # minimal_generators() on every member up to F=60, beyond the golden F,
-    # in the reference record and in the records the CLI prints, one group
-    # per F, as the CLI prints one family per call
-    groups = [enumerate_sat(f) for f in range(1, 61)]
-    groups += [maximal_elements(f) for f in (61, 97, 128)]
-    groups += [
-        [closure(51, [8, 28, 42])],
-        [closure(101, [30, 42, 70])],
-        [closure(150, [16, 24, 44])],
-        [closure(199, [12, 20, 46]), closure(199, [])],
-    ]
-    for group in groups:
-        printed = captured(_emit_semigroups, group, "json", True).splitlines()
-        for S, line in zip(group, printed, strict=True):
-            want = general_record(S)
-            assert list(reference_record(S).items()) == list(want.items()), S
-            assert list(json.loads(line).items()) == list(want.items()), S
-            del want["gaps"]  # text and csv print no gaps
-            assert list(reference_record(S, gaps=False).items()) == list(want.items()), S
-
-
-@pytest.mark.parametrize("f", [1, 2, 7, 40, 83])
-def test_json_array_matches_indented_encoder(f):
-    code, out = run_cli("enumerate", "--frobenius", str(f), "--format", "json")
-    assert code == 0
-    expected = json.dumps([reference_record(S) for S in enumerate_sat(f)], indent=2) + "\n"
-    # lists, not strings: a failing string comparison this long takes pytest minutes to diff
-    assert out.split("\n") == expected.split("\n")
-
-
 def test_empty_json_array():
     out = run_cli("genus", "--frobenius", "7", "--genus", "99", "--format", "json")
     assert out == (0, "[]\n")
 
 
-def test_json_line_matches_compact_encoder():
-    # enumerate's records up to F=60, past the formatter test below: whole
-    # families (labels from the table) and each record alone (no table)
-    for f in range(1, 61):
-        want = [json.dumps(reference_record(S)) + "\n" for S in enumerate_sat(f)]
-        assert captured(_emit_records, _walk_records(f), "json", True) == "".join(want), f
-        for rec, line in zip(_walk_records(f), want):
-            assert captured(_emit_records, [rec], "json", True) == line, rec
-    assert captured(_emit_semigroups, [], "json", True) == ""
-
-
-def reference_text_line(rec):
-    # the text formatter as it was before the label table
-    members = ",".join(
-        map(str, [0, *rec["small_elements"], rec["frobenius"] + 1])
-    )
-    msg = ",".join(map(str, rec["msg"]))
-    return (
-        f"{members}→ | msg=⟨{msg}⟩"
-        f" | g={rec['genus']} | rank={rec['rank']}"
-    )
-
-
-def reference_csv_row(rec):
-    return [
-        rec["frobenius"],
-        rec["genus"],
-        rec["multiplicity"],
-        rec["embedding_dimension"],
-        rec["rank"],
-        ";".join(map(str, rec["small_elements"])),
-        ";".join(map(str, rec["msg"])),
-        ";".join(map(str, rec["sat_msg"])),
-    ]
-
-
-def reference_output(members, fmt, stream):
-    out = io.StringIO()
+def reference_line(rec, fmt, stream):
+    """A record as the literal encoders write it: a text line, a csv row,
+    a json line, or its block of the indented json array."""
     if fmt == "text":
-        for S in members:
-            out.write(reference_text_line(reference_record(S, gaps=False)) + "\n")
-        if not stream:
-            out.write(f"{len(members)}\n")
-    elif fmt == "json" and stream:
-        for S in members:
-            out.write(json.dumps(reference_record(S)) + "\n")
-    elif fmt == "json":
-        out.write(json.dumps([reference_record(S) for S in members], indent=2) + "\n")
-    else:
-        writer = csv.writer(out, lineterminator="\n")
-        writer.writerow(SEMIGROUP_CSV_COLUMNS)
-        writer.writerows(
-            reference_csv_row(reference_record(S, gaps=False)) for S in members
-        )
-    return out.getvalue()
+        members = ",".join(map(str, [0, *rec["small_elements"], rec["frobenius"] + 1]))
+        msg = ",".join(map(str, rec["msg"]))
+        return f"{members}→ | msg=⟨{msg}⟩ | g={rec['genus']} | rank={rec['rank']}\n"
+    if fmt == "csv":
+        row = [rec[k] for k in ("frobenius", "genus", "multiplicity", "embedding_dimension", "rank")]
+        row += [";".join(map(str, rec[k])) for k in ("small_elements", "msg", "sat_msg")]
+        out = io.StringIO()
+        csv.writer(out, lineterminator="\n").writerow(row)
+        return out.getvalue()
+    if stream:
+        return json.dumps(rec) + "\n"
+    return json.dumps([rec], indent=2)[2:-2]  # "[\n" and "\n]" cut off
+
+
+def reference_output(lines, fmt, stream):
+    # a command's whole output around its records' reference lines
+    if fmt == "text":
+        return "".join(lines) + ("" if stream else f"{len(lines)}\n")
+    if fmt == "csv":
+        return ",".join(SEMIGROUP_CSV_COLUMNS) + "\n" + "".join(lines)
+    if stream:
+        return "".join(lines)
+    return "[\n" + ",\n".join(lines) + "\n]\n" if lines else "[]\n"
+
+
+@pytest.fixture(scope="module")
+def references():
+    """enumerate's families, each with its walked records and its reference
+    records, and the groups that only the other commands print: maximal
+    members, closures and an empty group.  Built once; every reference
+    record is checked once against the general path, which pins the msg
+    shortcut against minimal_generators() beyond the golden F."""
+
+    def checked(members):
+        records = [reference_record(S) for S in members]
+        for S, rec in zip(members, records):
+            assert list(rec.items()) == list(general_record(S).items()), S
+        return records
+
+    families = {}
+    for f in [*range(1, 61), 83]:
+        members = enumerate_sat(f)
+        families[f] = members, list(_walk_records(f)), checked(members)
+    groups = [maximal_elements(f) for f in (61, 97, 128)]
+    groups += [
+        [closure(51, [8, 28, 42])],
+        [closure(101, [30, 42, 70])],
+        [closure(150, [16, 24, 44])],
+        [closure(199, [12, 20, 46]), closure(199, [])],
+        [],
+    ]
+    return families, [(members, checked(members)) for members in groups]
 
 
 FORMATS = [("text", False), ("text", True), ("json", False), ("json", True), ("csv", False)]
+# enumerate's families past F=40 that a format is also checked on; the
+# largest, F=83, only whole through main
+WIDER = {("json", True): range(41, 61), ("json", False): [83]}
 
 
 @pytest.mark.parametrize("fmt, stream", FORMATS)
-def test_formatters_match_reference_encoders(fmt, stream):
+def test_formatters_match_reference_encoders(references, fmt, stream):
     # whole families spell entries from the label table from the second
-    # record on; each member alone, and the one-member families F=1, 2,
-    # take the path without a table.  enumerate builds its records from
-    # the walk's chains, the other commands from the members
-    for f in range(1, 41):
-        family = enumerate_sat(f)
-        walked = list(_walk_records(f))
-        want = reference_output(family, fmt, stream)
+    # record on; each record alone, and the one-member families F=1, 2,
+    # take the path without a table.  enumerate prints the walk's records
+    # and is the only command that streams; the other commands build
+    # theirs from the members
+    families, groups = references
+    for f in [*range(1, 41), *WIDER.get((fmt, stream), [])]:
+        members, walked, records = families[f]
+        lines = [reference_line(rec, fmt, stream) for rec in records]
+        # lists, not strings: a failing string comparison this long takes
+        # pytest minutes to diff
+        want = reference_output(lines, fmt, stream).split("\n")
         argv = ["enumerate", "--frobenius", str(f), "--format", fmt] + ["--stream"] * stream
-        assert captured(main, argv) == want, f
-        assert captured(_emit_semigroups, family, fmt, stream) == want, f
-        for S, rec in zip(family, walked, strict=True):
-            want = reference_output([S], fmt, stream)
-            assert captured(_emit_semigroups, [S], fmt, stream) == want, (f, S)
+        assert captured(main, argv).split("\n") == want, f
+        if f == 83:
+            continue
+        if not stream:
+            assert captured(_emit_semigroups, members, fmt).split("\n") == want, f
+        for S, rec, line in zip(members, walked, lines, strict=True):
+            want = reference_output([line], fmt, stream)
             assert captured(_emit_records, [rec], fmt, stream) == want, (f, S)
+            if not stream:
+                assert captured(_emit_semigroups, [S], fmt) == want, (f, S)
+    if not stream:
+        for members, records in groups:
+            want = reference_output([reference_line(r, fmt, stream) for r in records], fmt, stream)
+            assert captured(_emit_semigroups, members, fmt).split("\n") == want.split("\n")
 
 
 @pytest.mark.parametrize("fmt, stream", FORMATS)
@@ -296,8 +272,10 @@ def test_formatters_match_reference_encoders_at_large_f(fmt, stream):
     # four of them in range.  The maximal members have small multiplicity;
     # the msg of {0, F+1, ->}, F+1..2F+1, reaches into that row
     family = maximal_elements(257) + [closure(257, [])]
-    want = reference_output(family, fmt, stream)
-    assert captured(_emit_semigroups, family, fmt, stream) == want
+    records = [reference_record(S) for S in family]
+    want = reference_output([reference_line(r, fmt, stream) for r in records], fmt, stream)
+    triples = [(257, S._mask, rec["sat_msg"]) for S, rec in zip(family, records)]
+    assert captured(_emit_records, triples, fmt, stream) == want
 
 
 @pytest.mark.parametrize("sep", [",", ";", ", ", ",\n      "])
@@ -423,14 +401,6 @@ def test_usage_error_exit_code():
 def test_sort_flag_reserved():
     code, _ = run_cli("enumerate", "--frobenius", "5", "--sort", "canonical")
     assert code == 0
-
-
-def test_jobs_outputs_byte_identical():
-    runs = [
-        run_cli("enumerate", "--frobenius", "12", "--jobs", str(jobs))[1]
-        for jobs in (1, 3, 3)
-    ]
-    assert runs[0] == runs[1] == runs[2]
 
 
 def child_env():

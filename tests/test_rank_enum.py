@@ -284,6 +284,9 @@ def test_next_table_matches_divisor_reference():
         mult = [0] + [_multiples(g, f) for g in range(1, f)]
         for p in range(1, 7):
             assert _next_table(f, p, mult) == reference_next_table(f, p, mult), (f, p)
+    # the first row alone, far past the F above; at p = 1 neither reads mult
+    for f in (1024, 1025, 20000):
+        assert _next_table(f, 1, []) == reference_next_table(f, 1, []), f
 
 
 def test_rank_one_at_large_frobenius_is_one_closure_per_non_divisor():

@@ -100,21 +100,6 @@ def test_minimal_system_errors():
     assert minimal_system(ordinary(8), frobenius=7).elements == ()
 
 
-def test_closure_of_system_is_identity(corpus):
-    for f in range(1, 13):
-        for S in corpus(f):
-            assert closure(f, minimal_system(S).elements) == S
-
-
-def test_system_of_closure_is_identity(corpus):
-    for f in (6, 8, 10):
-        for xs in small_subsets(f):
-            if not xs or not is_sat_set(f, xs):
-                continue
-            if is_minimal_system(f, xs):
-                assert minimal_system(closure(f, xs)).elements == xs
-
-
 def test_multiplicity_opens_system(corpus):
     for f in (8, 10):
         for S in corpus(f):
