@@ -14,15 +14,14 @@ lines; data lines are never decorated.
 
 The commands that print members build each record as (F, mask,
 sat_msg): the Frobenius number, the membership bitmap and the minimal
-system.  ``enumerate`` takes them from the walk's nodes, whose gcd-drop
-chains are their minimal systems; genus, maximal, closure and rank read
-it off the small-element bitmap with ``semigroup._drops``, which clears
-the multiples of the running gcd at each drop and lists no small
-element.  The formatters spell every other list straight off a bitmap,
-already joined with the format's separator: the first record through
-``semigroup._set_bits``, every later one a byte at a time from a table of
-rows (``_table_speller``), each mapping a byte value to the labels of its
-set bits.  The genus and the embedding dimension are bit counts.
+system.  ``enumerate`` and ``genus`` take sat_msg from the walk's
+nodes, whose gcd-drop chains are their minimal systems; maximal, closure
+and rank read it off the small-element bitmap with ``semigroup._drops``.
+The formatters spell every other list straight off a bitmap, already
+joined with the format's separator: the first record through
+``semigroup._set_bits``, every later one a byte at a time from a table
+of rows (``_table_speller``), each mapping a byte value to the labels of
+its set bits.  The genus and the embedding dimension are bit counts.
 """
 
 from __future__ import annotations
@@ -45,7 +44,7 @@ from .semigroup import (
     _set_bits,
     _small_window,
 )
-from .tree import _walk, enumerate_sat_genus
+from .tree import _Node, _genus_layer, _walk
 
 # a record: F, the membership bitmap over 0..F+1, and the minimal system
 _Record = tuple[int, int, list[int]]
@@ -172,24 +171,11 @@ def _table_speller(F: int, sep: str) -> _Spell:
     return spell
 
 
-def _spelled(
-    records: Iterable[_Record], sep: str
-) -> Iterator[tuple[int, int, list[int], _Spell]]:
-    # each record with its speller: the labels of _set_bits for the first,
-    # then a table of rows built from the second record's F, so that a
-    # one-record command at huge F builds nothing
-    spell: _Spell = lambda mask: sep.join(map(str, _set_bits(mask)))
-    for k, (F, mask, sat_msg) in enumerate(records):
-        if k == 1:
-            spell = _table_speller(F, sep)
-        yield F, mask, sat_msg, spell
-
-
-def _walk_records(F: int) -> Iterator[_Record]:
-    # enumerate's records straight from the walk: the n_i of a node's
-    # gcd-drop chain are the members at which the running gcd drops, that
-    # is semigroup._drops of its small elements, its minimal system
-    for layer in _walk(F):
+def _walk_records(F: int, layers: Iterable[list[_Node]]) -> Iterator[_Record]:
+    # records straight from walk nodes: the n_i of a node's gcd-drop chain
+    # are the members at which the running gcd drops, that is
+    # semigroup._drops of its small elements, its minimal system
+    for layer in layers:
         for mask, chain, _ in layer:
             yield F, mask, [n for n, _ in chain]
 
@@ -198,42 +184,40 @@ def _emit_records(records: Iterable[_Record], fmt: str, stream: bool = False) ->
     """Write the records of one Sat(F) in the given format.
 
     One F per call: every record must have the same Frobenius number F.
-    From the second record on, list entries are spelled from one table of
-    rows over the labels 0..2F+1, built from that record's F, which covers
-    them all: small elements and gaps lie below F+1, and a minimal
-    generator is the multiplicity m <= F+1 or a member of its Apery set,
-    so it is at most F + m <= 2F+1.
+    The first record joins the labels of ``_set_bits``, so a one-record
+    command at huge F builds nothing; from the second on, lists are spelled
+    from one table of rows over the labels 0..2F+1, built from that
+    record's F, which covers them all: small elements and gaps lie below
+    F+1, and a minimal generator is the multiplicity m <= F+1 or a member
+    of its Apery set, so it is at most F + m <= 2F+1.
     """
     out = sys.stdout
-    if fmt == "text":
-        count = 0
-        for rec in _spelled(records, ","):
-            out.write(_text_line(*rec))
-            count += 1
-        if not stream:
-            out.write(f"{count}\n")
-    elif fmt == "json":
-        if stream:
-            for rec in _spelled(records, ", "):
-                out.write(_json_line(*rec))
-        else:
-            # record by record, so the array is never held in memory
-            sep = "[\n"
-            for rec in _spelled(records, _BLOCK_SEP):
-                out.write(sep + _json_block(*rec))
-                sep = ",\n"
-            out.write("[]\n" if sep == "[\n" else "\n]\n")
-    else:
+    array = fmt == "json" and not stream
+    line, sep = {
+        "text": (_text_line, ","),
+        "csv": (_csv_row, ";"),
+        "json": (_json_block, _BLOCK_SEP) if array else (_json_line, ", "),
+    }[fmt]
+    if fmt == "csv":
         out.write(",".join(SEMIGROUP_CSV_COLUMNS) + "\n")
-        for rec in _spelled(records, ";"):
-            out.write(_csv_row(*rec))
+    spell: _Spell = lambda mask: sep.join(map(str, _set_bits(mask)))
+    lead = "[\n" if array else ""
+    count = 0
+    for F, mask, sat_msg in records:
+        if count == 1:
+            spell = _table_speller(F, sep)
+            lead = ",\n" if array else ""
+        out.write(lead + line(F, mask, sat_msg, spell))
+        count += 1
+    if array:
+        out.write("\n]\n" if count else "[]\n")
+    elif fmt == "text" and not stream:
+        out.write(f"{count}\n")
 
 
 def _emit_semigroups(semigroups: Iterable[NumericalSemigroup], fmt: str) -> None:
-    """Write saturated members of one Sat(F); see ``_emit_records``.
-
-    The minimal system is ``semigroup._drops`` read off the small-element
-    bitmap, as in ``satsets.minimal_system``.
+    """Write saturated members of one Sat(F), each minimal system read off
+    its small-element bitmap with ``semigroup._drops``; see ``_emit_records``.
     """
     records = (
         (S.frobenius, S._mask, _drops(S.frobenius, S._mask & _small_window(S.frobenius)))
@@ -295,12 +279,14 @@ _nonnegative = _int_at_least(0)
 
 
 def _cmd_enumerate(args: argparse.Namespace) -> int:
-    _emit_records(_walk_records(args.frobenius), args.format, stream=args.stream)
+    F = args.frobenius
+    _emit_records(_walk_records(F, _walk(F)), args.format, stream=args.stream)
     return 0
 
 
 def _cmd_genus(args: argparse.Namespace) -> int:
-    _emit_semigroups(enumerate_sat_genus(args.frobenius, args.genus), args.format)
+    F = args.frobenius
+    _emit_records(_walk_records(F, [_genus_layer(F, args.genus)]), args.format)
     return 0
 
 

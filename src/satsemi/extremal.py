@@ -9,9 +9,11 @@ step.
 
 from __future__ import annotations
 
+from math import isqrt
+
 from .errors import NotRepresentable
 from .satsets import closure
-from .semigroup import NumericalSemigroup, ordinary
+from .semigroup import NumericalSemigroup, _multiples, _set_bits, ordinary
 
 __all__ = [
     "tooth",
@@ -54,18 +56,18 @@ def minimal_non_divisors(n: int) -> tuple[int, ...]:
     Such an x has every proper divisor dividing n.  Two coprime factors
     of x above 1 would both divide n, and so would x; so x is a prime
     power p**k with p**(k-1) | n, that is p**(v_p(n)+1) <= n.  Those are
-    read off a prime sieve.
+    read off a prime sieve on a bitmap over 0..n.
     """
     if n < 1:
         raise ValueError("n must be positive")
-    # zeroed, then marked: a failed bytearray repeat at huge n writes a
-    # SystemError line to stderr before its MemoryError
-    composite = bytearray(n + 1)
+    # the candidates 2..n first: at huge n this one shift fails at once,
+    # where _multiples would double its run up to the failing size
+    prime = (1 << (n + 1)) - 4
+    for p in range(2, isqrt(n) + 1):
+        if prime >> p & 1:
+            prime &= ~(_multiples(p, n + 1) >> (p * p) << (p * p))
     powers = []
-    for p in range(2, n + 1):
-        if composite[p]:
-            continue
-        composite[p * p :: p] = b"\1" * len(range(p * p, n + 1, p))
+    for p in _set_bits(prime):
         q = p
         while n % q == 0:
             q *= p

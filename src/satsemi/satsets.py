@@ -15,8 +15,9 @@ minimal set that generates it this way; the size of that set is the rank
 of the member.
 
 Each direction has one implementation on the membership bitmap: ``_fill``
-lays the progressions of a set and ``semigroup._drops`` (shared with
-``is_saturated``) reads the gcd drops off a bitmap of small elements.
+lays the progressions of a set and ``semigroup._drops`` reads the gcd
+drops off a bitmap of small elements, once per ``minimal_system`` call
+(through ``semigroup._saturated_drops``, which decides ``is_saturated``).
 Every caller outside the two enumeration kernels goes through them; the
 kernels (``tree._expand``, ``rank_enum._grow``) keep incremental forms.
 """
@@ -27,7 +28,7 @@ import math
 from typing import Iterable, NamedTuple, Sequence
 
 from .errors import NotASatFSet, NotSaturated, WrongFrobenius
-from .semigroup import NumericalSemigroup, _drops, _multiples, _small_window
+from .semigroup import NumericalSemigroup, _drops, _multiples, _saturated_drops
 
 __all__ = [
     "SatFSet",
@@ -80,6 +81,16 @@ def is_sat_set(frobenius: int, xs: Iterable[int]) -> bool:
     return frobenius % math.gcd(*ns) != 0
 
 
+def _usable(frobenius: int, xs: Iterable[int]) -> tuple[int, ...]:
+    # xs normalized, or NotASatFSet when it is not a usable set for F
+    ns = _normalized(xs)
+    if not is_sat_set(frobenius, ns):
+        raise NotASatFSet(
+            f"{list(ns)} extends to no saturated semigroup with Frobenius number {frobenius}"
+        )
+    return ns
+
+
 def closure(frobenius: int, xs: Iterable[int]) -> NumericalSemigroup:
     """The least saturated semigroup with this Frobenius number containing xs.
 
@@ -87,11 +98,7 @@ def closure(frobenius: int, xs: Iterable[int]) -> NumericalSemigroup:
     such semigroup exists; the empty set closes to the ordinary semigroup
     {0, F+1, ->}.
     """
-    ns = _normalized(xs)
-    if not is_sat_set(frobenius, ns):
-        raise NotASatFSet(
-            f"{list(ns)} extends to no saturated semigroup with Frobenius number {frobenius}"
-        )
+    ns = _usable(frobenius, xs)
     # _fill lays out the least witness of the module docstring, which is
     # closed and saturated; tests compare it with the validating constructor
     return NumericalSemigroup._raw(frobenius, _fill(frobenius, ns))
@@ -111,10 +118,10 @@ def minimal_system(
         raise WrongFrobenius(
             f"expected Frobenius number {frobenius}, got {S.frobenius}"
         )
-    if not S.is_saturated():
+    ns = _saturated_drops(S.frobenius, S._mask)
+    if ns is None:
         raise NotSaturated(f"{S!r} is not saturated")
-    F = S.frobenius
-    return SatFSet(F, tuple(_drops(F, S._mask & _small_window(F))))
+    return SatFSet(S.frobenius, tuple(ns))
 
 
 def is_minimal_system(frobenius: int, xs: Iterable[int]) -> bool:
@@ -124,11 +131,7 @@ def is_minimal_system(frobenius: int, xs: Iterable[int]) -> bool:
     of the prefix, which ``_drops`` decides on the bitmap of xs.  Raises
     NotASatFSet on unusable input.
     """
-    ns = list(_normalized(xs))
-    if not is_sat_set(frobenius, ns):
-        raise NotASatFSet(
-            f"{ns} extends to no saturated semigroup with Frobenius number {frobenius}"
-        )
+    ns = list(_usable(frobenius, xs))
     # each element at least halves the running gcd, which starts below F,
     # so a longer list is no minimal system; this also keeps the bitmap
     # below from costing one F-bit copy per element of a long list

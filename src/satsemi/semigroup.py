@@ -266,15 +266,7 @@ class NumericalSemigroup:
         between consecutive drops that ``_drops`` reads (the last segment
         ending at F) is tested with one shift by its gcd.
         """
-        F, mask = self.frobenius, self._mask
-        window = (1 << (F + 2)) - 1
-        ns = _drops(F, mask & _small_window(F))
-        g = 0
-        for n, stop in zip(ns, (*ns[1:], F)):
-            g = math.gcd(g, n)
-            if ((mask & ((1 << stop) - (1 << n))) << g) & window & ~mask:
-                return False
-        return True
+        return _saturated_drops(self.frobenius, self._mask) is not None
 
     def is_med(self) -> bool:
         """True when the embedding dimension equals the multiplicity."""
@@ -408,6 +400,19 @@ def _drops(frobenius: int, small: int) -> list[int]:
         g = math.gcd(g, n)
         small &= ~_multiples(g, frobenius)
     return picks
+
+
+def _saturated_drops(frobenius: int, mask: int) -> list[int] | None:
+    # the gcd drops of a membership bitmap's small elements if it is
+    # saturated, else None; NumericalSemigroup.is_saturated has the proof
+    window = (1 << (frobenius + 2)) - 1
+    ns = _drops(frobenius, mask & _small_window(frobenius))
+    g = 0
+    for n, stop in zip(ns, (*ns[1:], frobenius)):
+        g = math.gcd(g, n)
+        if ((mask & ((1 << stop) - (1 << n))) << g) & window & ~mask:
+            return None
+    return ns
 
 
 def _apery_mask(frobenius: int, mask: int, n: int) -> int:

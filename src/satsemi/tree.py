@@ -102,6 +102,7 @@ the walk does not call them either.
 
 from __future__ import annotations
 
+from itertools import islice
 from math import gcd, isqrt
 from typing import Iterator
 
@@ -298,8 +299,7 @@ def _root(frobenius: int) -> _Node:
 
 def _walk(frobenius: int) -> Iterator[list[_Node]]:
     # the layers of the tree as lists of nodes, in the order of iter_layers;
-    # the CLI reads each node's chain from here, and enumerate_sat_genus
-    # wraps only the layer it returns
+    # the CLI prints enumerate's and genus's records straight from the nodes
     if frobenius < 1:
         raise ValueError("frobenius must be >= 1")
     table = _FirstLink(frobenius)
@@ -307,6 +307,16 @@ def _walk(frobenius: int) -> Iterator[list[_Node]]:
     while layer:
         yield layer
         layer = _expand(frobenius, layer, table)
+
+
+def _genus_layer(frobenius: int, genus: int) -> list[_Node]:
+    # the nodes of genus g: it occurs exactly for min_genus(F) <= g <= F,
+    # as the layer at depth F - g, where the walk stops
+    if frobenius < 1:
+        raise ValueError("frobenius must be >= 1")
+    if genus > frobenius or genus < min_genus(frobenius):
+        return []
+    return next(islice(_walk(frobenius), frobenius - genus, None), [])
 
 
 def iter_layers(frobenius: int) -> Iterator[list[NumericalSemigroup]]:
@@ -337,18 +347,11 @@ def enumerate_sat(frobenius: int) -> list[NumericalSemigroup]:
 def enumerate_sat_genus(frobenius: int, genus: int) -> list[NumericalSemigroup]:
     """The members with the given genus; empty when the genus is unreachable.
 
-    Genus g occurs exactly for min_genus(F) <= g <= F, and the walk stops
-    at depth F - g.
+    Genus g occurs exactly for min_genus(F) <= g <= F, as the walk's layer
+    at depth F - g, whose nodes the CLI's ``genus`` prints unwrapped.
     """
-    if frobenius < 1:
-        raise ValueError("frobenius must be >= 1")
-    if genus > frobenius or genus < min_genus(frobenius):
-        return []
-    target = frobenius - genus
-    for depth, layer in enumerate(_walk(frobenius)):
-        if depth == target:
-            return [NumericalSemigroup._raw(frobenius, mask) for mask, _, _ in layer]
-    return []
+    layer = _genus_layer(frobenius, genus)
+    return [NumericalSemigroup._raw(frobenius, mask) for mask, _, _ in layer]
 
 
 def chain(S: NumericalSemigroup) -> list[NumericalSemigroup]:
