@@ -29,6 +29,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from functools import cache
 from typing import Callable, Iterable, Iterator
 
 from .errors import SemigroupError
@@ -474,8 +475,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@cache
+def _parser() -> argparse.ArgumentParser:
+    # built once per process: building takes about 40 times as long as
+    # parsing, and parse_args leaves the parser as it found it
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         code = args.run(args)
         # a closed pipe must raise here, inside the handler, not at exit

@@ -84,6 +84,8 @@ def maximal_elements(frobenius: int) -> list[NumericalSemigroup]:
     smaller integer divides F, the family is the single ordinary
     semigroup, and that is returned as its own maximum.
     """
+    if frobenius < 1:
+        raise ValueError("frobenius must be >= 1")
     steps = minimal_non_divisors(frobenius)
     if not steps:
         return [ordinary(frobenius + 1)]
@@ -106,4 +108,6 @@ def min_genus(frobenius: int) -> int:
     Equals F - floor(F/p) for the least non-divisor p of F, the genus of
     the progression semigroup with step p.
     """
+    if frobenius < 1:
+        raise ValueError("frobenius must be >= 1")
     return frobenius - frobenius // least_non_divisor(frobenius)

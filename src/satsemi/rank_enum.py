@@ -84,7 +84,13 @@ from typing import Sequence
 from .errors import NotASatSequence
 from .extremal import least_non_divisor
 from .satsets import closure
-from .semigroup import NumericalSemigroup, _multiples, _set_bits, ordinary
+from .semigroup import (
+    NumericalSemigroup,
+    _collector_paused,
+    _multiples,
+    _set_bits,
+    ordinary,
+)
 
 __all__ = [
     "is_sat_sequence",
@@ -243,7 +249,10 @@ def enumerate_rank(frobenius: int, p: int) -> list[NumericalSemigroup]:
     the progression n, n + d, .. below the next generator into the
     member's bitmap; a leaf adds the last progression, which runs below
     F, with one OR of its parent's base and a tail shared by every state
-    with the same prefix gcd.
+    with the same prefix gcd.  The cyclic collector is paused while the
+    search builds the list, since a member holds two ints and joins no
+    cycle; cyclic garbage made meanwhile by other threads waits until the
+    call returns.
     """
     if frobenius < 1 or p < 0:
         raise ValueError("need frobenius >= 1 and p >= 0")
@@ -263,7 +272,8 @@ def enumerate_rank(frobenius: int, p: int) -> list[NumericalSemigroup]:
     # from rank 3 on a few prefix gcds serve every leaf-parent state, so
     # their last progressions are kept; below that each state has its own
     tails: dict[int, tuple[list[int], list[int]]] | None = {} if p >= 3 else None
-    _grow(out, frobenius, rows, mult, tails, 0, 0, root, p)
+    with _collector_paused():
+        _grow(out, frobenius, rows, mult, tails, 0, 0, root, p)
     return out
 
 

@@ -18,6 +18,8 @@ members past F+1, ``_ext`` writes out that many bits of the implicit
 tail.  Every bitmap of the multiples of a step comes from
 ``_multiples``, and every list of the gcd drops of the small elements
 from ``_drops``; only the enumeration kernels keep incremental forms.
+The list builders of the enumerations pause the cyclic collector with
+``_collector_paused``.
 
 The set of all nonnegative integers has no largest gap and is therefore
 not representable; constructors reject it.
@@ -25,7 +27,9 @@ not representable; constructors reject it.
 
 from __future__ import annotations
 
+import gc
 import math
+from contextlib import contextmanager
 from itertools import compress
 from typing import Iterable, Iterator, NamedTuple
 
@@ -93,8 +97,8 @@ class NumericalSemigroup:
 
     @classmethod
     def _raw(cls, frobenius: int, mask: int) -> "NumericalSemigroup":
-        # trusted path for values already known valid; rank_enum._grow
-        # inlines a copy in its leaf loop, so keep the two alike
+        # trusted path for values already known valid; rank_enum._grow's
+        # leaf loop and tree._members inline copies, so keep the three alike
         self = object.__new__(cls)
         self.frobenius = frobenius
         self._mask = mask
@@ -413,6 +417,22 @@ def _saturated_drops(frobenius: int, mask: int) -> list[int] | None:
         if ((mask & ((1 << stop) - (1 << n))) << g) & window & ~mask:
             return None
     return ns
+
+
+@contextmanager
+def _collector_paused() -> Iterator[None]:
+    # The cyclic collector paused while a list of members is built, and
+    # re-enabled after only if it was on: a member holds two ints and joins
+    # no cycle, yet each collection walks the members built so far.  Never
+    # wrap a generator's body, or its caller would run between items with
+    # the collector off.
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def _apery_mask(frobenius: int, mask: int, n: int) -> int:

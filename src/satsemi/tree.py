@@ -108,7 +108,7 @@ from typing import Iterator
 
 from .errors import PreconditionViolated, ResidueClassMissing
 from .extremal import min_genus
-from .semigroup import NumericalSemigroup, _multiples, ordinary
+from .semigroup import NumericalSemigroup, _collector_paused, _multiples, ordinary
 
 __all__ = [
     "special_gaps_from_msg",
@@ -319,6 +319,19 @@ def _genus_layer(frobenius: int, genus: int) -> list[_Node]:
     return next(islice(_walk(frobenius), frobenius - genus, None), [])
 
 
+def _members(frobenius: int, layer: list[_Node]) -> list[NumericalSemigroup]:
+    # the layer's nodes as members, each built in place as
+    # NumericalSemigroup._raw would: a call per member cost more than the walk
+    members: list[NumericalSemigroup] = []
+    new, append = object.__new__, members.append
+    for mask, _, _ in layer:
+        S = new(NumericalSemigroup)
+        S.frobenius = frobenius
+        S._mask = mask
+        append(S)
+    return members
+
+
 def iter_layers(frobenius: int) -> Iterator[list[NumericalSemigroup]]:
     """Yield the tree layer by layer; layer k holds the members of genus F-k.
 
@@ -326,7 +339,7 @@ def iter_layers(frobenius: int) -> Iterator[list[NumericalSemigroup]]:
     lists.
     """
     for layer in _walk(frobenius):
-        yield [NumericalSemigroup._raw(frobenius, mask) for mask, _, _ in layer]
+        yield _members(frobenius, layer)
 
 
 def iter_sat(frobenius: int) -> Iterator[NumericalSemigroup]:
@@ -339,19 +352,28 @@ def enumerate_sat(frobenius: int) -> list[NumericalSemigroup]:
     """All saturated semigroups with the given Frobenius number.
 
     Layers come in increasing depth (decreasing genus); inside a layer,
-    ascending by the list of small elements.
+    ascending by the list of small elements.  The cyclic collector is
+    paused while the list is built, since a member holds two ints and joins
+    no cycle; cyclic garbage made meanwhile by other threads waits
+    until the call returns.
     """
-    return list(iter_sat(frobenius))
+    members: list[NumericalSemigroup] = []
+    with _collector_paused():
+        for layer in iter_layers(frobenius):
+            members += layer
+    return members
 
 
 def enumerate_sat_genus(frobenius: int, genus: int) -> list[NumericalSemigroup]:
     """The members with the given genus; empty when the genus is unreachable.
 
     Genus g occurs exactly for min_genus(F) <= g <= F, as the walk's layer
-    at depth F - g, whose nodes the CLI's ``genus`` prints unwrapped.
+    at depth F - g, whose nodes the CLI's ``genus`` prints unwrapped.  As
+    in ``enumerate_sat``, the cyclic collector is paused while the layer
+    is built, and cyclic garbage from other threads waits until it returns.
     """
-    layer = _genus_layer(frobenius, genus)
-    return [NumericalSemigroup._raw(frobenius, mask) for mask, _, _ in layer]
+    with _collector_paused():
+        return _members(frobenius, _genus_layer(frobenius, genus))
 
 
 def chain(S: NumericalSemigroup) -> list[NumericalSemigroup]:

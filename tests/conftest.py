@@ -1,3 +1,4 @@
+import gc
 from functools import lru_cache
 
 import pytest
@@ -25,3 +26,12 @@ def du():
         return NumericalSemigroup.from_small_elements(frobenius, small)
 
     return build
+
+
+@pytest.fixture(autouse=True)
+def collector_left_enabled():
+    """Fail a test that leaves the cyclic collector disabled."""
+    yield
+    if not gc.isenabled():
+        gc.enable()
+        pytest.fail("the test left the cyclic collector disabled")

@@ -443,7 +443,8 @@ def test_closed_pipe_exits_quietly():
     proc = cli_process("enumerate", "--frobenius", "199")
     proc.stdout.readline()
     proc.stdout.close()
-    assert proc.stderr.read() == b""
+    with proc.stderr:
+        assert proc.stderr.read() == b""
     assert proc.wait(timeout=10) == 141
 
 

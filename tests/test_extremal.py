@@ -32,7 +32,7 @@ def test_tooth_degenerate():
         tooth(1, 5)
     with pytest.raises(NotRepresentable):
         tooth(3, 1)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="step and conductor must be positive"):
         tooth(0, 5)
     with pytest.raises(NotRepresentable):
         tooth(1, 10**18)
@@ -96,6 +96,8 @@ def test_maximal_elements_30():
 def test_maximal_elements_degenerate():
     assert maximal_elements(1) == [ordinary(2)]
     assert maximal_elements(2) == [ordinary(3)]
+    with pytest.raises(ValueError, match="frobenius must be >= 1"):
+        maximal_elements(0)
 
 
 def test_maximal_elements_match_inclusion_filter(corpus):
@@ -114,7 +116,7 @@ def test_least_non_divisor():
     assert least_non_divisor(7) == 2
     assert least_non_divisor(6) == 4
     assert least_non_divisor(12) == 5
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="n must be positive"):
         least_non_divisor(0)
 
 
@@ -122,6 +124,8 @@ def test_min_genus_examples():
     assert min_genus(7) == 4
     assert min_genus(6) == 5
     assert min_genus(12) == 10
+    with pytest.raises(ValueError, match="frobenius must be >= 1"):
+        min_genus(0)
 
 
 def test_min_genus_matches_oracle(corpus):

@@ -312,6 +312,29 @@ def test_enumerate_rank_leaves_no_garbage_cycle():
         gc.enable()
 
 
+def test_enumerate_rank_pauses_the_collector_only_while_it_builds(monkeypatch):
+    # the collector is on again after a return and after a raise, and a
+    # caller's disabled collector stays disabled
+    assert enumerate_rank(60, 3)
+    assert gc.isenabled()
+
+    def failing_search(*args):
+        assert not gc.isenabled()
+        raise RuntimeError("search failed")
+
+    monkeypatch.setattr("satsemi.rank_enum._grow", failing_search)
+    with pytest.raises(RuntimeError, match="search failed"):
+        enumerate_rank(60, 3)
+    assert gc.isenabled()
+    monkeypatch.undo()
+    gc.disable()
+    try:
+        assert enumerate_rank(60, 3)
+        assert not gc.isenabled()
+    finally:
+        gc.enable()
+
+
 def pinned_rank_digest(frobenius, max_rank):
     # restates bench/workloads.rank_digest: for each p, a SHA-256 over one
     # line of nonzero small elements per member, then one SHA-256 over the

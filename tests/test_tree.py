@@ -1,3 +1,5 @@
+import gc
+from functools import partial
 from itertools import accumulate
 from math import gcd
 
@@ -253,3 +255,40 @@ def test_walk_equals_reference_walk(f):
     for depth, want in enumerate(reference_layers(f)):
         assert next(walk) == want, depth
     assert next(walk, None) is None
+
+
+@pytest.mark.parametrize(
+    "build",
+    [partial(enumerate_sat, 40), partial(enumerate_sat_genus, 40, 30)],
+    ids=["enumerate_sat", "enumerate_sat_genus"],
+)
+def test_builders_pause_the_collector_only_while_they_build(monkeypatch, build):
+    # the collector is on again after a return and after a raise, and a
+    # caller's disabled collector stays disabled
+    assert build()
+    assert gc.isenabled()
+
+    def failing_expand(*args):
+        assert not gc.isenabled()
+        raise RuntimeError("walk failed")
+
+    monkeypatch.setattr("satsemi.tree._expand", failing_expand)
+    with pytest.raises(RuntimeError, match="walk failed"):
+        build()
+    assert gc.isenabled()
+    monkeypatch.undo()
+    gc.disable()
+    try:
+        assert build()
+        assert not gc.isenabled()
+    finally:
+        gc.enable()
+
+
+def test_iter_layers_leaves_the_collector_on_between_layers():
+    # a generator's caller runs between its items, so no pause spans them
+    layers = iter_layers(40)
+    next(layers)
+    assert gc.isenabled()
+    assert next(layers)
+    assert gc.isenabled()
