@@ -6,30 +6,56 @@ per line, then a count footer), json (an array, written record by
 record) and csv.  ``enumerate --stream`` drops the text footer and
 writes json as one object per line.  Only ``enumerate`` streams: it
 writes the walk's members a layer at a time, while ``rank``, ``genus``
-and ``maximal`` build their whole list before the first write.  Exit
-codes: 0 on success, 1 on a domain error (one-line diagnostic on
-stderr), 2 on a usage error; 141 when the reader closes stdout and 130
-on Ctrl-C, both silent.  Set SATSEMI_COLOR=1 to color verify status
-lines; data lines are never decorated.
+and ``maximal`` build their whole list before the first write.  Output
+is UTF-8 whatever the locale: text lines hold → ⟨ ⟩, so ``main``
+switches a stdout in another encoding to UTF-8 before anything is
+written.  Exit codes: 0 on success, 1 on a domain error (one-line
+diagnostic on stderr), 2 on a usage error; 141 when the reader closes
+stdout and 130 on Ctrl-C, both silent.  Set SATSEMI_COLOR=1 to color
+verify status lines; data lines are never decorated.
 
 The commands that print members build each record as (F, mask,
 sat_msg): the Frobenius number, the membership bitmap and the minimal
 system.  ``enumerate`` and ``genus`` take sat_msg from the walk's
 nodes, whose gcd-drop chains are their minimal systems; maximal, closure
 and rank read it off the small-element bitmap with ``semigroup._drops``.
-The formatters spell every other list straight off a bitmap, already
-joined with the format's separator: the first record through
+The writer spells every other list straight off a bitmap, each label
+followed by the format's separator: the first record through
 ``semigroup._set_bits``, every later one a byte at a time from a table
 of rows (``_table_speller``), each mapping a byte value to the labels of
 its set bits.  The genus and the embedding dimension are bit counts.
+
+A record of the walk is mostly spelled from its parent's strings
+instead.  Its parent is the bitmap with the multiplicity m removed
+(stage 4 of the ``tree`` docstring), and when that parent was written
+in the genus layer just before, the writer still holds two strings for
+it: ``small``, the labels of its nonzero small elements, and ``above``,
+those of its gaps above its multiplicity pm.  The child, x = m, then has
+small = x + the parent's small, above = x+1..pm-1 + the parent's
+above, and gaps 1..x-1 + above; every run of consecutive labels is a
+slice of one strip of the labels 0..F+1.  So a record costs a few
+slices instead of one lookup per byte of its bitmap.  Only two genus
+layers of strings are held, the previous and the current one, which is
+what a child can need; at F=199 in json they raise the peak memory from
+about 18 to 28 MB.  msg is no such prefix (a child keeps the least
+generator of each residue class mod x), so it is spelled from the table.
+
+Each process registers ``gc.freeze`` to run at exit, which spares the
+interpreter's final collections a pass over everything import built:
+about a ninth of a short command's time.  The collector itself is left
+as it was while the process runs.
 """
 
 from __future__ import annotations
 
 import argparse
+import atexit
+import codecs
+import gc
 import os
 import sys
 from functools import cache
+from itertools import accumulate
 from typing import Callable, Iterable, Iterator
 
 from .errors import SemigroupError
@@ -82,61 +108,15 @@ def _msg(F: int, mask: int) -> tuple[int, int]:
     return m, (_apery_mask(F, mask, m) & ~1) | 1 << m
 
 
-# The formatters take a record and its ``spell``, which maps a bitmap to
-# the labels of its set bits joined with the format's separator.  The small
-# elements are the set bits of mask & _small_window(F), the gaps the clear
-# bits of _gap_window(F), and the genus is F + 2 - popcount(mask), as mask
-# holds 0 and F+1 besides the small elements.
-
-
-def _text_line(F: int, mask: int, sat_msg: list[int], spell: _Spell) -> str:
-    return (
-        f"{spell(mask)}→ | msg=⟨{spell(_msg(F, mask)[1])}⟩"
-        f" | g={F + 2 - mask.bit_count()} | rank={len(sat_msg)}\n"
-    )
+# The writer spells each list already joined: every label followed by the
+# format's separator, the last one cut where the list is printed.  The
+# small elements are the set bits of mask & _small_window(F), the gaps the
+# clear bits of _gap_window(F), and the genus is F + 2 - popcount(mask), as
+# mask holds 0 and F+1 besides the small elements.
 
 
 def _block_list(body: str) -> str:
     return f"[\n      {body}\n    ]" if body else "[]"
-
-
-def _json_block(F: int, mask: int, sat_msg: list[int], spell: _Spell) -> str:
-    # json.dumps(record, indent=2) as it sits in the top-level array
-    m, msg = _msg(F, mask)
-    small = _block_list(spell(mask & _small_window(F)))
-    gaps = _block_list(spell(~mask & _gap_window(F)))
-    system = _block_list(_BLOCK_SEP.join(map(str, sat_msg)))
-    return (
-        f'  {{\n    "frobenius": {F},\n    "small_elements": {small},\n'
-        f'    "msg": {_block_list(spell(msg))},\n'
-        f'    "genus": {F + 2 - mask.bit_count()},\n    "multiplicity": {m},\n'
-        f'    "gaps": {gaps},\n    "sat_msg": {system},\n'
-        f'    "embedding_dimension": {msg.bit_count()},\n'
-        f'    "rank": {len(sat_msg)}\n  }}'
-    )
-
-
-def _json_line(F: int, mask: int, sat_msg: list[int], spell: _Spell) -> str:
-    # json.dumps(record)
-    m, msg = _msg(F, mask)
-    return (
-        f'{{"frobenius": {F}, "small_elements": [{spell(mask & _small_window(F))}], '
-        f'"msg": [{spell(msg)}], '
-        f'"genus": {F + 2 - mask.bit_count()}, "multiplicity": {m}, '
-        f'"gaps": [{spell(~mask & _gap_window(F))}], '
-        f'"sat_msg": [{", ".join(map(str, sat_msg))}], '
-        f'"embedding_dimension": {msg.bit_count()}, "rank": {len(sat_msg)}}}\n'
-    )
-
-
-def _csv_row(F: int, mask: int, sat_msg: list[int], spell: _Spell) -> str:
-    # what csv.writer writes: no field holds a comma, quote or line break
-    m, msg = _msg(F, mask)
-    return (
-        f"{F},{F + 2 - mask.bit_count()},{m},{msg.bit_count()},{len(sat_msg)},"
-        f"{spell(mask & _small_window(F))},{spell(msg)},"
-        + ";".join(map(str, sat_msg)) + "\n"
-    )
 
 
 class _Row(dict):
@@ -162,14 +142,20 @@ def _table_speller(F: int, sep: str) -> _Spell:
     # of that range, each byte of the mask up to its highest set bit a dict
     # lookup, all of it in C
     rows = [_Row(8 * k, sep) for k in range((2 * F + 9) // 8)]
-    cut = -len(sep)
     lookup = dict.__getitem__
 
     def spell(mask: int) -> str:
         bits = mask.to_bytes((mask.bit_length() + 7) // 8, "little")
-        return "".join(map(lookup, rows, bits))[:cut]
+        return "".join(map(lookup, rows, bits))
 
     return spell
+
+
+def _label_strip(F: int, sep: str) -> tuple[str, list[int]]:
+    # the labels 0..F+1, each followed by the separator, as one string, and
+    # where each starts: the labels a..b-1 are strip[at[a]:at[b]]
+    labels = [f"{n}{sep}" for n in range(F + 2)]
+    return "".join(labels), list(accumulate(map(len, labels), initial=0))
 
 
 def _walk_records(F: int, layers: Iterable[list[_Node]]) -> Iterator[_Record]:
@@ -182,34 +168,103 @@ def _walk_records(F: int, layers: Iterable[list[_Node]]) -> Iterator[_Record]:
 
 
 def _emit_records(records: Iterable[_Record], fmt: str, stream: bool = False) -> None:
-    """Write the records of one Sat(F) in the given format.
+    """Write the records of one Sat(F) in the given format, one at a time.
 
     One F per call: every record must have the same Frobenius number F.
     The first record joins the labels of ``_set_bits``, so a one-record
-    command at huge F builds nothing; from the second on, lists are spelled
-    from one table of rows over the labels 0..2F+1, built from that
-    record's F, which covers them all: small elements and gaps lie below
-    F+1, and a minimal generator is the multiplicity m <= F+1 or a member
-    of its Apery set, so it is at most F + m <= 2F+1.
+    command at huge F builds nothing.  The second builds, from its F, a
+    table of rows over the labels 0..2F+1 and a strip of the labels
+    0..F+1.  The table covers every list: small elements and gaps lie
+    below F+1, and a minimal generator is the multiplicity m <= F+1 or a
+    member of its Apery set, so it is at most F + m <= 2F+1.
+
+    A record whose parent was written in the genus layer just before is
+    spelled from the parent's strings; see the module docstring.  Every
+    other record, and every msg, is spelled from the table.  The writer
+    keeps the strings of the records it spelled from a parent, and of the
+    root, for two genus layers: the previous one and the current one.
     """
     out = sys.stdout
     array = fmt == "json" and not stream
-    line, sep = {
-        "text": (_text_line, ","),
-        "csv": (_csv_row, ";"),
-        "json": (_json_block, _BLOCK_SEP) if array else (_json_line, ", "),
-    }[fmt]
+    sep = {"text": ",", "csv": ";", "json": _BLOCK_SEP if array else ", "}[fmt]
+    cut = -len(sep)
+    gaps_too = fmt == "json"  # text and csv print no gaps
     if fmt == "csv":
         out.write(",".join(SEMIGROUP_CSV_COLUMNS) + "\n")
-    spell: _Spell = lambda mask: sep.join(map(str, _set_bits(mask)))
+    spell: _Spell = lambda mask: "".join([f"{n}{sep}" for n in _set_bits(mask)])
     lead = "[\n" if array else ""
+    # mask -> (small, above, m) for the records of genus `layer` + 1 and
+    # `layer`: small the labels of the nonzero small elements, above those
+    # of the gaps above the multiplicity m
+    prev: dict[int, tuple[str, str, int]] = {}
+    cur: dict[int, tuple[str, str, int]] = {}
+    layer = -2  # below any genus by more than one
     count = 0
     for F, mask, sat_msg in records:
-        if count == 1:
-            spell = _table_speller(F, sep)
-            lead = ",\n" if array else ""
-        out.write(lead + line(F, mask, sat_msg, spell))
+        if count < 2:  # windows from the first record, table and strip from the second
+            small_window, gap_window = _small_window(F), _gap_window(F)
+            if count:
+                spell = _table_speller(F, sep)
+                strip, at = _label_strip(F, sep)
+                lead = ",\n" if array else ""
         count += 1
+        genus = F + 2 - mask.bit_count()
+        if genus != layer:
+            if genus == layer - 1:
+                prev, cur = cur, {}
+            elif prev or cur:  # no parent of this layer is held
+                prev, cur = {}, {}
+            layer = genus
+        m, msg = _msg(F, mask)
+        parent = prev.get(mask ^ 1 << m) if prev else None
+        if parent is not None:
+            # a child x = m of a parent with multiplicity pm: x joins the
+            # small elements, x+1..pm-1 the gaps above it, and the gaps
+            # below x are 1..x-1
+            psmall, pabove, pm = parent
+            small = strip[at[m] : at[m + 1]] + psmall
+            above = gaps = ""
+            if gaps_too:
+                above = strip[at[m + 1] : at[pm]] + pabove
+                gaps = strip[at[1] : at[m]] + above
+            cur[mask] = small, above, m
+        else:
+            small = spell(mask & small_window)
+            gaps = spell(~mask & gap_window) if gaps_too else ""
+            if not sat_msg:  # the root: no small element, no gap above F+1
+                cur[mask] = "", "", m
+        if fmt == "text":
+            line = (
+                f"0,{small}{F + 1}→ | msg=⟨{spell(msg)[:cut]}⟩"
+                f" | g={genus} | rank={len(sat_msg)}\n"
+            )
+        elif fmt == "csv":
+            # what csv.writer writes: no field holds a comma, quote or line break
+            line = (
+                f"{F},{genus},{m},{msg.bit_count()},{len(sat_msg)},"
+                f"{small[:cut]},{spell(msg)[:cut]}," + ";".join(map(str, sat_msg)) + "\n"
+            )
+        elif array:
+            # json.dumps(record, indent=2) as it sits in the top-level array
+            line = (
+                f'  {{\n    "frobenius": {F},\n'
+                f'    "small_elements": {_block_list(small[:cut])},\n'
+                f'    "msg": {_block_list(spell(msg)[:cut])},\n'
+                f'    "genus": {genus},\n    "multiplicity": {m},\n'
+                f'    "gaps": {_block_list(gaps[:cut])},\n'
+                f'    "sat_msg": {_block_list(_BLOCK_SEP.join(map(str, sat_msg)))},\n'
+                f'    "embedding_dimension": {msg.bit_count()},\n'
+                f'    "rank": {len(sat_msg)}\n  }}'
+            )
+        else:
+            # json.dumps(record)
+            line = (
+                f'{{"frobenius": {F}, "small_elements": [{small[:cut]}], '
+                f'"msg": [{spell(msg)[:cut]}], "genus": {genus}, "multiplicity": {m}, '
+                f'"gaps": [{gaps[:cut]}], "sat_msg": [{", ".join(map(str, sat_msg))}], '
+                f'"embedding_dimension": {msg.bit_count()}, "rank": {len(sat_msg)}}}\n'
+            )
+        out.write(lead + line)
     if array:
         out.write("\n]\n" if count else "[]\n")
     elif fmt == "text" and not stream:
@@ -482,7 +537,29 @@ def _parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
+@cache
+def _freeze_at_exit() -> None:
+    # registered once per process.  At exit the interpreter runs full
+    # collections over every tracked object still alive, mostly the
+    # modules, classes and functions that import built; gc.freeze moves
+    # them out of the collector's reach first.  Streams are flushed either
+    # way, and nothing here needs a finalizer at exit.  While the process
+    # runs, the collector stays as it was, for callers of main in-process
+    atexit.register(gc.freeze)
+
+
+def _utf8_stdout() -> None:
+    # text lines hold → ⟨ ⟩, which ascii or latin-1 cannot encode: the
+    # output is UTF-8 whatever the locale.  A stream without reconfigure,
+    # such as the io.StringIO of redirect_stdout, holds text and is left alone
+    out = sys.stdout
+    if hasattr(out, "reconfigure") and codecs.lookup(out.encoding).name != "utf-8":
+        out.reconfigure(encoding="utf-8")
+
+
 def main(argv: list[str] | None = None) -> int:
+    _freeze_at_exit()
+    _utf8_stdout()
     args = _parser().parse_args(argv)
     try:
         code = args.run(args)

@@ -31,6 +31,7 @@ from satsemi.semigroup import (
     _small_window,
 )
 from satsemi.tree import _genus_layer, _walk, enumerate_sat, enumerate_sat_genus
+from test_golden import GOLDEN
 from test_satsets import literal_drops
 
 PINNED = Path(__file__).resolve().parent.parent / "bench" / "pinned.json"
@@ -267,6 +268,29 @@ def test_formatters_match_reference_encoders(references, fmt, stream):
 
 
 @pytest.mark.parametrize("fmt, stream", FORMATS)
+def test_writer_does_not_rely_on_walk_order(references, fmt, stream):
+    # a record is spelled from its parent's strings only when the parent
+    # was written in the genus layer just before, else from the table:
+    # the same lines come out with each layer shuffled within itself, with
+    # all records shuffled, and with one layer left out
+    families, _ = references
+    rng = random.Random(36)
+    for f in range(1, 41):
+        _, walked, records = families[f]
+        lines = [reference_line(rec, fmt, stream) for rec in records]
+        depth = [f - rec["genus"] for rec in records]
+        order = range(len(records))
+        within = sorted(order, key=lambda i: (depth[i], rng.random()))
+        shuffled = rng.sample(order, len(order))
+        missing = [i for i in order if depth[i] != depth[-1] // 2]
+        for picked in (within, shuffled, missing):
+            want = reference_output([lines[i] for i in picked], fmt, stream)
+            got = captured(_emit_records, [walked[i] for i in picked], fmt, stream)
+            # lists, not strings, as in the test above
+            assert got.split("\n") == want.split("\n"), (f, picked)
+
+
+@pytest.mark.parametrize("fmt, stream", FORMATS)
 def test_formatters_match_reference_encoders_at_large_f(fmt, stream):
     # 2F+2 = 516 labels: the table's last row holds labels 512..519, only
     # four of them in range.  The maximal members have small multiplicity;
@@ -294,7 +318,8 @@ def test_genus_walk_records_match_the_drops_path():
 
 @pytest.mark.parametrize("sep", [",", ";", ", ", ",\n      "])
 def test_table_speller_joins_the_set_bits(sep):
-    # every residue of 2F+2 mod 8 up to F=40, and rows past the first few
+    # each label followed by the separator; every residue of 2F+2 mod 8 up
+    # to F=40, and rows past the first few
     rng = random.Random(29)
     for f in [*range(1, 41), 127, 128, 1000]:
         width = 2 * f + 2
@@ -302,7 +327,7 @@ def test_table_speller_joins_the_set_bits(sep):
         masks = [0, 1 << (width - 1), (1 << width) - 1]
         masks += [rng.getrandbits(width) for _ in range(20)]
         for mask in masks * 2:  # the second pass reads entries already filled
-            assert spell(mask) == sep.join(map(str, _set_bits(mask))), (f, mask)
+            assert spell(mask) == "".join(f"{n}{sep}" for n in _set_bits(mask)), (f, mask)
 
 
 @pytest.fixture(scope="module")
@@ -479,6 +504,53 @@ def test_commands_start_no_process_pool():
         "print('concurrent.futures' in sys.modules)"
     )
     assert fresh_interpreter(code).splitlines()[-1] == "False"
+
+
+def test_exit_hook_freezes_the_collector_only_at_exit():
+    # the collections at interpreter exit would traverse everything import
+    # built; main registers gc.freeze to run at exit, once per process,
+    # and leaves the collector running and unfrozen meanwhile.  Exit hooks
+    # run last in first out, so the probe runs after the freeze
+    code = (
+        "import atexit, gc\n"
+        "atexit.register(lambda: print('at exit', gc.get_freeze_count() > 0))\n"
+        "from satsemi.cli import main\n"
+        "hooks = atexit._ncallbacks()\n"
+        "for _ in range(2):\n"
+        "    main(['min-genus', '--frobenius', '7'])\n"
+        "    print('after main', gc.isenabled(), gc.get_freeze_count())\n"
+        "    print('new hooks', atexit._ncallbacks() - hooks)\n"
+    )
+    assert fresh_interpreter(code).splitlines() == [
+        "4",
+        "after main True 0",
+        "new hooks 1",
+        "4",
+        "after main True 0",
+        "new hooks 1",
+        "at exit True",
+    ]
+
+
+@pytest.mark.parametrize("encoding", ["ascii", "latin-1"])
+def test_text_output_is_utf8_under_any_stdout_encoding(encoding):
+    # text lines hold → ⟨ ⟩, which neither encoding can write
+    golden = {tuple(e["argv"]): e["sha256"] for e in GOLDEN}
+    env = {**child_env(), "PYTHONIOENCODING": encoding}
+    min_gens = ("min-gens", "--frobenius", "21", "--small", "4,8,10,12,14,16,18,20")
+    expected = [
+        (("enumerate", "--frobenius", "7", "--format", "text"), None),
+        (min_gens, "sat_msg=⟨4,10⟩ | rank=2\n".encode()),
+    ]
+    for argv, literal in expected:
+        proc = subprocess.run(
+            [sys.executable, "-m", "satsemi.cli", *argv], env=env, capture_output=True
+        )
+        assert (proc.returncode, proc.stderr) == (0, b""), argv
+        if literal is None:
+            assert hashlib.sha256(proc.stdout).hexdigest() == golden[argv]
+        else:
+            assert proc.stdout == literal
 
 
 def test_color_env_decorates_verify_only(monkeypatch):
