@@ -4,26 +4,29 @@ Subcommands mirror the library: enumerate, genus, maximal, min-genus,
 closure, min-gens, rank, feasible, verify.  Formats: text (one semigroup
 per line, then a count footer), json (an array, written record by
 record) and csv.  ``enumerate --stream`` drops the text footer and
-writes json as one object per line.  Only ``enumerate`` streams: it
-writes the walk's members a layer at a time, while ``rank``, ``genus``
-and ``maximal`` build their whole list before the first write.  Output
-is UTF-8 whatever the locale: text lines hold → ⟨ ⟩, so ``main``
-switches a stdout in another encoding to UTF-8 before anything is
-written.  Exit codes: 0 on success, 1 on a domain error (one-line
+writes json as one object per line.  ``enumerate`` writes the walk's
+members a layer at a time, ``rank`` each block of its search as it is
+found and ``maximal`` each member as it is made; only ``genus`` builds
+its layer before the first write.  Output is UTF-8 whatever the locale:
+text lines hold → ⟨ ⟩, so ``main`` switches a stdout in another
+encoding to UTF-8 before anything is written.  Exit codes: 0 on success, 1 on a domain error (one-line
 diagnostic on stderr), 2 on a usage error; 141 when the reader closes
 stdout and 130 on Ctrl-C, both silent.  Set SATSEMI_COLOR=1 to color
 verify status lines; data lines are never decorated.
 
 The commands that print members build each record as (F, mask,
 sat_msg): the Frobenius number, the membership bitmap and the minimal
-system.  ``enumerate`` and ``genus`` take sat_msg from the walk's
-nodes, whose gcd-drop chains are their minimal systems; maximal, closure
-and rank read it off the small-element bitmap with ``semigroup._drops``.
-The writer spells every other list straight off a bitmap, each label
-followed by the format's separator: the first record through
-``semigroup._set_bits``, every later one a byte at a time from a table
-of rows (``_table_speller``), each mapping a byte value to the labels of
-its set bits.  The genus and the embedding dimension are bit counts.
+system, taken where the code that built the member knows it.
+``enumerate`` and ``genus`` read sat_msg off the walk's nodes, whose
+gcd-drop chains are their minimal systems; ``rank`` off its search path,
+the generators n1..np it placed; ``maximal`` knows it is [x] for the
+member with step x; ``closure`` asks ``minimal_system``.  All of them
+write through ``_emit_records``, which spells every other list straight
+off a bitmap, each label followed by the format's separator: the first
+record a chunk of labels at a time (``_chunk_speller``), every later one
+a byte at a time from a table of rows (``_table_speller``), each mapping
+a byte value to the labels of its set bits.  The genus and the embedding
+dimension are bit counts.
 
 A record of the walk is mostly spelled from its parent's strings
 instead.  Its parent is the bitmap with the multiplicity m removed
@@ -55,21 +58,21 @@ import gc
 import os
 import sys
 from functools import cache
-from itertools import accumulate
+from itertools import accumulate, islice
 from typing import Callable, Iterable, Iterator
 
 from .errors import SemigroupError
-from .extremal import maximal_elements, min_genus
+from .extremal import min_genus, minimal_non_divisors, tooth
 from .oracle import check_all, refuse_above_limit
-from .rank_enum import enumerate_rank, feasible_rank
+from .rank_enum import _leaf_blocks, feasible_rank
 from .satsets import closure, minimal_system
 from .semigroup import (
     NumericalSemigroup,
     _apery_mask,
-    _drops,
     _gap_window,
-    _set_bits,
+    _set_bit_iter,
     _small_window,
+    ordinary,
 )
 from .tree import _Node, _genus_layer, _walk
 
@@ -137,6 +140,18 @@ class _Row(dict):
         return labels
 
 
+def _chunk_speller(sep: str) -> _Spell:
+    # spells a bitmap with no table, for the first record: its labels are
+    # joined a chunk at a time, so a one-record command at huge F never
+    # holds every position as an int and every label as a string at once
+    def spell(mask: int) -> str:
+        ns = _set_bit_iter(mask)
+        chunk = lambda: "".join([f"{n}{sep}" for n in islice(ns, 4096)])
+        return "".join(iter(chunk, ""))
+
+    return spell
+
+
 def _table_speller(F: int, sep: str) -> _Spell:
     # spells any bitmap over 0..2F+1 a byte at a time: one row per byte
     # of that range, each byte of the mask up to its highest set bit a dict
@@ -167,12 +182,37 @@ def _walk_records(F: int, layers: Iterable[list[_Node]]) -> Iterator[_Record]:
             yield F, mask, [n for n, _ in chain]
 
 
+def _rank_records(F: int, p: int) -> Iterable[_Record]:
+    # records straight from the rank search's leaf blocks, as they come,
+    # each minimal system the block's path and the last generator m.
+    # _leaf_blocks builds its tables at the call, so an F too large to
+    # represent fails before any output.  Rank 0 is the ordinary semigroup
+    if p == 0:
+        return [(F, ordinary(F + 1)._mask, [])]
+    return (
+        (F, base | t, [*gens, m])
+        for base, gens, ms, ts, k in _leaf_blocks(F, p)
+        for m, t in islice(zip(ms, ts), k, None)
+    )
+
+
+def _maximal_records(F: int) -> Iterable[_Record]:
+    # each maximal member is tooth(x, F+1), the closure of {x}, for x a
+    # minimal non-divisor of F, so its minimal system is [x].  For F in
+    # {1, 2} there is none, and the ordinary semigroup is its own maximum
+    steps = minimal_non_divisors(F)
+    if not steps:
+        return [(F, ordinary(F + 1)._mask, [])]
+    return ((F, tooth(x, F + 1)._mask, [x]) for x in steps)
+
+
 def _emit_records(records: Iterable[_Record], fmt: str, stream: bool = False) -> None:
     """Write the records of one Sat(F) in the given format, one at a time.
 
     One F per call: every record must have the same Frobenius number F.
-    The first record joins the labels of ``_set_bits``, so a one-record
-    command at huge F builds nothing.  The second builds, from its F, a
+    The first record is spelled by ``_chunk_speller``, so a one-record
+    command at huge F builds no table, and holds a chunk of its labels
+    at a time besides the lists it prints.  The second builds, from its F, a
     table of rows over the labels 0..2F+1 and a strip of the labels
     0..F+1.  The table covers every list: small elements and gaps lie
     below F+1, and a minimal generator is the multiplicity m <= F+1 or a
@@ -191,7 +231,7 @@ def _emit_records(records: Iterable[_Record], fmt: str, stream: bool = False) ->
     gaps_too = fmt == "json"  # text and csv print no gaps
     if fmt == "csv":
         out.write(",".join(SEMIGROUP_CSV_COLUMNS) + "\n")
-    spell: _Spell = lambda mask: "".join([f"{n}{sep}" for n in _set_bits(mask)])
+    spell = _chunk_speller(sep)
     lead = "[\n" if array else ""
     # mask -> (small, above, m) for the records of genus `layer` + 1 and
     # `layer`: small the labels of the nonzero small elements, above those
@@ -271,17 +311,6 @@ def _emit_records(records: Iterable[_Record], fmt: str, stream: bool = False) ->
         out.write(f"{count}\n")
 
 
-def _emit_semigroups(semigroups: Iterable[NumericalSemigroup], fmt: str) -> None:
-    """Write saturated members of one Sat(F), each minimal system read off
-    its small-element bitmap with ``semigroup._drops``; see ``_emit_records``.
-    """
-    records = (
-        (S.frobenius, S._mask, _drops(S.frobenius, S._mask & _small_window(S.frobenius)))
-        for S in semigroups
-    )
-    _emit_records(records, fmt)
-
-
 def _emit_value(fmt: str, columns: tuple[str, ...], record: dict, text: str) -> None:
     if fmt == "json":
         import json
@@ -347,7 +376,7 @@ def _cmd_genus(args: argparse.Namespace) -> int:
 
 
 def _cmd_maximal(args: argparse.Namespace) -> int:
-    _emit_semigroups(maximal_elements(args.frobenius), args.format)
+    _emit_records(_maximal_records(args.frobenius), args.format)
     return 0
 
 
@@ -363,7 +392,8 @@ def _cmd_min_genus(args: argparse.Namespace) -> int:
 
 
 def _cmd_closure(args: argparse.Namespace) -> int:
-    _emit_semigroups([closure(args.frobenius, args.set)], args.format)
+    S = closure(args.frobenius, args.set)
+    _emit_records([(S.frobenius, S._mask, list(minimal_system(S).elements))], args.format)
     return 0
 
 
@@ -389,7 +419,7 @@ def _cmd_min_gens(args: argparse.Namespace) -> int:
 
 
 def _cmd_rank(args: argparse.Namespace) -> int:
-    _emit_semigroups(enumerate_rank(args.frobenius, args.rank), args.format)
+    _emit_records(_rank_records(args.frobenius, args.rank), args.format)
     return 0
 
 

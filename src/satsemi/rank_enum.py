@@ -64,14 +64,21 @@ below m, and the multiples of g from m below F.  As g divides d, every
 multiple of d from m on is a multiple of g from m on, so the cut at m
 can be dropped: the member is base | tail, with base = mask | (the
 multiples of d from n up) computed once per state, and tail = (the
-multiples of g from m up) depending on (d, m) alone.  The leaf loop
-builds each member in place, as ``NumericalSemigroup._raw`` would, since
-a call per member cost more than the search.  From rank 3 on
+multiples of g from m up) depending on (d, m) alone.  From rank 3 on
 the tails are kept per d, because a few prefix gcds serve every state
 (at F = 199, p = 3, 45 of them serve 39,919 members).  Below rank 3
 nothing would be shared: at p = 1 the root is the only leaf parent, and
 at p = 2 each leaf parent (n1, n1) has its own d, so keeping the tails
 would only hold memory.
+
+So the search yields one block per leaf-parent state, not one item per
+member: its base, the generators n1..n(p-1) on its path, and the last
+generators and tails that complete it.  ``enumerate_rank`` turns the
+blocks into a list, building each member in place as
+``NumericalSemigroup._raw`` would, since a call per member cost more
+than the search.  The CLI's ``rank`` turns them into records as they
+come, each with its minimal system read off the path, so it streams and
+never re-derives a minimal system.
 """
 
 from __future__ import annotations
@@ -79,7 +86,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from itertools import islice
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .errors import NotASatSequence
 from .extremal import least_non_divisor
@@ -101,6 +108,9 @@ __all__ = [
     "witness_to_semigroup",
     "enumerate_rank",
 ]
+
+# a leaf block of the rank search: (base, gens, ms, ts, k), see _grow
+_Block = tuple[int, tuple[int, ...], list[int], list[int], int]
 
 
 def is_sat_sequence(frobenius: int, ds: Sequence[int]) -> bool:
@@ -245,21 +255,41 @@ def enumerate_rank(frobenius: int, p: int) -> list[NumericalSemigroup]:
     A depth-first search over minimal systems n1 < .. < np, trying the
     next generator in ascending order from the table of ``_next_table``,
     so that every branch it enters ends in a member and the members come
-    out in canonical order (see the module docstring).  Each step ORs
-    the progression n, n + d, .. below the next generator into the
-    member's bitmap; a leaf adds the last progression, which runs below
-    F, with one OR of its parent's base and a tail shared by every state
-    with the same prefix gcd.  The cyclic collector is paused while the
-    search builds the list, since a member holds two ints and joins no
-    cycle; cyclic garbage made meanwhile by other threads waits until the
-    call returns.
+    out in canonical order (see the module docstring).  The list is built
+    from the search's leaf blocks (``_leaf_blocks``): each member is one
+    OR of its block's base and a tail shared by every state with the same
+    prefix gcd.  The cyclic collector is paused while the list is built,
+    since a member holds two ints and joins no cycle; cyclic garbage made
+    meanwhile by other threads waits until the call returns.
     """
     if frobenius < 1 or p < 0:
         raise ValueError("need frobenius >= 1 and p >= 0")
     if p == 0:
         return [ordinary(frobenius + 1)]
+    blocks = _leaf_blocks(frobenius, p)
+    out: list[NumericalSemigroup] = []
+    # NumericalSemigroup._raw inlined: a call per member cost more than
+    # the search
+    new, append = object.__new__, out.append
+    with _collector_paused():
+        for base, _, _, ts, k in blocks:
+            for t in islice(ts, k, None):
+                S = new(NumericalSemigroup)
+                S.frobenius = frobenius
+                S._mask = base | t
+                append(S)
+    return out
+
+
+def _leaf_blocks(frobenius: int, p: int) -> Iterator[_Block]:
+    """The leaf blocks of the rank-p search, p >= 1, in canonical order;
+    none when p is infeasible.  See ``_grow`` for a block.
+
+    The tables are built here, before the first block is asked for, so
+    an F too large to represent fails at the call.
+    """
     if not feasible_rank(frobenius, p):
-        return []
+        return iter(())
     # the root bitmap comes first: at an F too large to represent it fails
     # at once, before the tables below take F^2 bits
     root = 1 | (1 << (frobenius + 1))
@@ -268,13 +298,10 @@ def enumerate_rank(frobenius: int, p: int) -> list[NumericalSemigroup]:
     # gcd(0, n1) = n1
     mult = [0] + [_multiples(g, frobenius) for g in range(1, frobenius)]
     rows = _next_table(frobenius, p, mult)
-    out: list[NumericalSemigroup] = []
     # from rank 3 on a few prefix gcds serve every leaf-parent state, so
     # their last progressions are kept; below that each state has its own
     tails: dict[int, tuple[list[int], list[int]]] | None = {} if p >= 3 else None
-    with _collector_paused():
-        _grow(out, frobenius, rows, mult, tails, 0, 0, root, p)
-    return out
+    return _grow(rows, mult, tails, root, p)
 
 
 def _next_table(frobenius: int, p: int, mult: list[int]) -> list[list[int]]:
@@ -313,51 +340,50 @@ def _next_table(frobenius: int, p: int, mult: list[int]) -> list[list[int]]:
 
 
 def _grow(
-    out: list[NumericalSemigroup],
-    frobenius: int,
     rows: list[list[int]],
     mult: list[int],
     tails: dict[int, tuple[list[int], list[int]]] | None,
-    n: int,
-    d: int,
-    mask: int,
-    r: int,
-) -> None:
-    """From state (n, d) with r generators left and the small elements
-    below n in mask, append every member it completes to, in order.
+    root: int,
+    p: int,
+) -> Iterator[_Block]:
+    """Search the states from the root, depth first and in order, and
+    yield one block per leaf-parent state.
 
-    A member's bitmap is built progression by progression as the search
-    descends, each cut from ``mult[d]``, the ``_multiples`` of d below F:
-    below n by a shift down and up, as ``satsets._fill`` cuts it, and
-    below the next generator by a mask.  It must equal ``_fill`` of its
-    minimal system.  A leaf adds the last progression: each member is
-    one OR of its state's base with a tail of ``_last_progressions``,
-    read from ``tails`` when it is a dict (see the module docstring),
-    and is built in the loop without a call, as ``NumericalSemigroup._raw``
-    builds one.
+    A state is (n, d, mask, r, gens): the last generator n and the prefix
+    gcd d, the small elements below n in mask, r generators left to place
+    and the generators gens placed so far; the root is (0, 0, root, p, ()).
+    The states wait on a stack, the children of a state pushed in
+    descending order so that the least comes off first.  A member's
+    bitmap is built progression by progression as the search descends,
+    each cut from ``mult[d]``, the ``_multiples`` of d below F: below n by
+    a shift down and up, as ``satsets._fill`` cuts it, and below the next
+    generator by a mask.  It must equal ``_fill`` of its minimal system.
+
+    A leaf-parent state (r = 1) yields the block ``(base, gens, ms, ts,
+    k)``: its members are ``base | ts[i]`` with minimal system
+    ``(*gens, ms[i])`` for i >= k, the last generators ``ms`` and their
+    tails ``ts`` from ``_last_progressions``, read from ``tails`` when it
+    is a dict (see the module docstring).  One yield per state, not per
+    member, keeps the leaf loop in the caller.
     """
-    step = mult[d] >> n << n
-    if r > 1:
-        for m in _set_bits(rows[r][d] >> (n + 1) << (n + 1)):
-            child = mask | (step & ((1 << m) - 1))
-            g = math.gcd(d, m)
-            _grow(out, frobenius, rows, mult, tails, m, g, child, r - 1)
-        return
-    if tails is None:
-        ms, ts = _last_progressions(rows[1][d], mult, d)
-    elif d in tails:
-        ms, ts = tails[d]
-    else:
-        ms, ts = tails[d] = _last_progressions(rows[1][d], mult, d)
-    base = mask | step
-    # NumericalSemigroup._raw inlined: a call per member cost more than
-    # the search
-    new, append = object.__new__, out.append
-    for t in islice(ts, bisect_right(ms, n), None):
-        S = new(NumericalSemigroup)
-        S.frobenius = frobenius
-        S._mask = base | t
-        append(S)
+    stack = [(0, 0, root, p, ())]
+    while stack:
+        n, d, mask, r, gens = stack.pop()
+        step = mult[d] >> n << n
+        if r > 1:
+            nexts = _set_bits(rows[r][d] >> (n + 1) << (n + 1))
+            stack += [
+                (m, math.gcd(d, m), mask | (step & ((1 << m) - 1)), r - 1, (*gens, m))
+                for m in reversed(nexts)
+            ]
+            continue
+        if tails is None:
+            ms, ts = _last_progressions(rows[1][d], mult, d)
+        elif d in tails:
+            ms, ts = tails[d]
+        else:
+            ms, ts = tails[d] = _last_progressions(rows[1][d], mult, d)
+        yield mask | step, gens, ms, ts, bisect_right(ms, n)
 
 
 def _last_progressions(

@@ -8,10 +8,11 @@ F+1 belongs automatically.  Instances store that window as a bitmap
 packed into one int: membership is a shift and a mask, and set-level
 operations run on machine words.
 
-Every list of positions read off a bitmap comes from ``_set_bits``: the
-bitmap's bits as 0/1 bytes, with which ``itertools.compress`` selects the
-positions.  The CLI spells its printed lists from ``_set_bits`` for the
-first record, then a byte of the bitmap at a time.  The windows
+Every list of positions read off a bitmap comes from ``_set_bits``, the
+list of ``_set_bit_iter``: the bitmap's bits as 0/1 bytes, with which
+``itertools.compress`` selects the positions.  The CLI spells its
+printed lists from ``_set_bit_iter`` a chunk at a time for the first
+record, then a byte of the bitmap at a time.  The windows
 read are named once: ``_small_window`` for the nonzero members below F,
 ``_gap_window`` for the places a gap can sit.  Where a computation needs
 members past F+1, ``_ext`` writes out that many bits of the implicit
@@ -30,7 +31,7 @@ from __future__ import annotations
 import gc
 import math
 from contextlib import contextmanager
-from itertools import compress
+from itertools import compress, count
 from typing import Iterable, Iterator, NamedTuple
 
 from .errors import (
@@ -445,8 +446,13 @@ def _apery_mask(frobenius: int, mask: int, n: int) -> int:
 _BIT_BYTES = bytes.maketrans(b"01", b"\0\1")
 
 
-def _set_bits(mask: int) -> list[int]:
-    # positions of the set bits of a nonnegative int, ascending: its bits,
-    # lowest first, as 0/1 bytes up to its highest set bit select them
+def _set_bit_iter(mask: int) -> Iterator[int]:
+    # positions of the set bits of a nonnegative int, ascending, one at a
+    # time: its bits, lowest first, as 0/1 bytes up to its highest set bit
+    # select them
     bits = format(mask, "b")[::-1].encode().translate(_BIT_BYTES)
-    return list(compress(range(len(bits)), bits))
+    return compress(count(), bits)
+
+
+def _set_bits(mask: int) -> list[int]:
+    return list(_set_bit_iter(mask))

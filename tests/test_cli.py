@@ -1,4 +1,5 @@
 import csv
+import gc
 import hashlib
 import io
 import json
@@ -7,30 +8,34 @@ import random
 import signal
 import subprocess
 import sys
+import tracemalloc
 from contextlib import redirect_stdout
 from pathlib import Path
 
 import pytest
 
 import satsemi
+from satsemi import rank_enum
 from satsemi.cli import (
     SEMIGROUP_CSV_COLUMNS,
+    _chunk_speller,
     _emit_records,
-    _emit_semigroups,
     _table_speller,
     _walk_records,
     main,
 )
 from satsemi.extremal import maximal_elements
+from satsemi.rank_enum import enumerate_rank, feasible_rank
 from satsemi.satsets import closure, minimal_system
 from satsemi.semigroup import (
     NumericalSemigroup,
     _apery_mask,
+    _drops,
     _gap_window,
     _set_bits,
     _small_window,
 )
-from satsemi.tree import _genus_layer, _walk, enumerate_sat, enumerate_sat_genus
+from satsemi.tree import _walk, enumerate_sat, enumerate_sat_genus
 from test_golden import GOLDEN
 from test_satsets import literal_drops
 
@@ -49,6 +54,18 @@ def captured(emit, *args):
     with redirect_stdout(out):
         emit(*args)
     return out.getvalue()
+
+
+def emit_semigroups(semigroups, fmt):
+    """The reference record path: saturated members of one Sat(F) through
+    the CLI's writer, each minimal system re-read off the member's
+    small-element bitmap with ``semigroup._drops`` instead of taken from
+    the code that built the member, as the commands take it."""
+    records = (
+        (S.frobenius, S._mask, _drops(S.frobenius, S._mask & _small_window(S.frobenius)))
+        for S in semigroups
+    )
+    _emit_records(records, fmt)
 
 
 def reference_record(S: NumericalSemigroup) -> dict:
@@ -201,6 +218,10 @@ def reference_output(lines, fmt, stream):
     return "[\n" + ",\n".join(lines) + "\n]\n" if lines else "[]\n"
 
 
+# closures the formatter and record-path checks print, beside whole families
+CLOSURES = [(51, [8, 28, 42]), (101, [30, 42, 70]), (150, [16, 24, 44]), (199, [12, 20, 46]), (199, [])]
+
+
 @pytest.fixture(scope="module")
 def references():
     """enumerate's families, each with its walked records and its reference
@@ -220,13 +241,8 @@ def references():
         members = enumerate_sat(f)
         families[f] = members, list(_walk_records(f, _walk(f))), checked(members)
     groups = [maximal_elements(f) for f in (61, 97, 128)]
-    groups += [
-        [closure(51, [8, 28, 42])],
-        [closure(101, [30, 42, 70])],
-        [closure(150, [16, 24, 44])],
-        [closure(199, [12, 20, 46]), closure(199, [])],
-        [],
-    ]
+    groups += [[closure(f, xs)] for f, xs in CLOSURES[:3]]
+    groups += [[closure(f, xs) for f, xs in CLOSURES[3:]], []]
     return families, [(members, checked(members)) for members in groups]
 
 
@@ -240,9 +256,9 @@ WIDER = {("json", True): range(41, 61), ("json", False): [83]}
 def test_formatters_match_reference_encoders(references, fmt, stream):
     # whole families spell entries from the label table from the second
     # record on; each record alone, and the one-member families F=1, 2,
-    # take the path without a table.  enumerate prints the walk's records
-    # and is the only command that streams; the other commands build
-    # theirs from the members
+    # take the path without a table.  enumerate prints the walk's records;
+    # the reference path re-reads each minimal system with _drops, and
+    # also writes the groups only the other commands print
     families, groups = references
     for f in [*range(1, 41), *WIDER.get((fmt, stream), [])]:
         members, walked, records = families[f]
@@ -255,16 +271,16 @@ def test_formatters_match_reference_encoders(references, fmt, stream):
         if f == 83:
             continue
         if not stream:
-            assert captured(_emit_semigroups, members, fmt).split("\n") == want, f
+            assert captured(emit_semigroups, members, fmt).split("\n") == want, f
         for S, rec, line in zip(members, walked, lines, strict=True):
             want = reference_output([line], fmt, stream)
             assert captured(_emit_records, [rec], fmt, stream) == want, (f, S)
             if not stream:
-                assert captured(_emit_semigroups, [S], fmt) == want, (f, S)
+                assert captured(emit_semigroups, [S], fmt) == want, (f, S)
     if not stream:
         for members, records in groups:
             want = reference_output([reference_line(r, fmt, stream) for r in records], fmt, stream)
-            assert captured(_emit_semigroups, members, fmt).split("\n") == want.split("\n")
+            assert captured(emit_semigroups, members, fmt).split("\n") == want.split("\n")
 
 
 @pytest.mark.parametrize("fmt, stream", FORMATS)
@@ -303,31 +319,109 @@ def test_formatters_match_reference_encoders_at_large_f(fmt, stream):
     assert captured(_emit_records, triples, fmt, stream).split("\n") == want.split("\n")
 
 
-def test_genus_walk_records_match_the_drops_path():
-    # genus prints its layer's nodes with sat_msg read off their chains;
-    # the other commands derive it from each member with semigroup._drops
-    for f in range(1, 41):
-        for g in range(f + 2):
-            layer = _genus_layer(f, g)
-            members = enumerate_sat_genus(f, g)
-            for fmt in ("text", "json", "csv"):
-                got = captured(_emit_records, _walk_records(f, [layer]), fmt)
-                want = captured(_emit_semigroups, members, fmt)
-                assert got.split("\n") == want.split("\n"), (f, g, fmt)
+def printed_groups(command):
+    # (argv, the library's members) for every input the check below runs
+    if command == "genus":
+        for f in range(1, 41):
+            for g in range(f + 2):
+                yield ["--frobenius", str(f), "--genus", str(g)], enumerate_sat_genus(f, g)
+    elif command == "rank":
+        # every p up to the first infeasible one, which prints no member
+        for f in range(1, 61):
+            p = 0
+            while True:
+                yield ["--frobenius", str(f), "--rank", str(p)], enumerate_rank(f, p)
+                if not feasible_rank(f, p):
+                    break
+                p += 1
+    elif command == "maximal":
+        for f in [*range(1, 62), 97, 128]:
+            yield ["--frobenius", str(f)], maximal_elements(f)
+    else:
+        for f, xs in CLOSURES:
+            yield ["--frobenius", str(f), "--set", ",".join(map(str, xs))], [closure(f, xs)]
+
+
+@pytest.mark.parametrize("command", ["genus", "rank", "maximal", "closure"])
+def test_command_records_match_the_drops_path(command):
+    # each command takes sat_msg from the code that built its members: the
+    # walk's chains (genus), the search path (rank), the step (maximal) or
+    # minimal_system (closure); the reference re-reads it from each member
+    # of the library's list with semigroup._drops
+    for argv, members in printed_groups(command):
+        for fmt in ("text", "json", "csv"):
+            got = captured(main, [command, *argv, "--format", fmt])
+            want = captured(emit_semigroups, members, fmt)
+            assert got.split("\n") == want.split("\n"), (argv, fmt)
+
+
+def test_rank_writes_each_block_as_the_search_finds_it(monkeypatch):
+    # the records of a leaf block are on stdout before the search goes on,
+    # and the search never runs with the collector off
+    real, stop = rank_enum._grow, False
+
+    def watched(*args):
+        for block in real(*args):
+            assert gc.isenabled()
+            yield block
+            if stop:
+                raise RuntimeError("search stopped")
+
+    monkeypatch.setattr(rank_enum, "_grow", watched)
+    argv = ["rank", "--frobenius", "60", "--rank", "3", "--format", "csv"]
+    header, *rows = captured(main, argv).splitlines()
+    # the first block: the rows whose sat_msg shares the first row's prefix
+    prefix = rows[0].split(",")[-1].rsplit(";", 1)[0] + ";"
+    block = [row for row in rows if row.split(",")[-1].startswith(prefix)]
+    assert 0 < len(block) < len(rows)
+    stop = True
+    out = io.StringIO()
+    with redirect_stdout(out), pytest.raises(RuntimeError, match="search stopped"):
+        main(argv)
+    assert out.getvalue().splitlines() == [header, *block]
+
+
+class CharCount:
+    # a stdout that keeps only the number of characters written
+    chars = 0
+
+    def write(self, text):
+        self.chars += len(text)
+
+
+@pytest.mark.parametrize("fmt", ["text", "json", "csv"])
+def test_one_record_at_large_f_holds_a_chunk_of_labels_at_a_time(fmt):
+    # closure(200000, [3]) has 66,666 small elements and 133,334 gaps.
+    # Spelled from one list of positions and one of labels, a single
+    # record peaked at 5.9 times its output in json and 16.4 in text
+    S = closure(200000, [3])
+    out = CharCount()
+    tracemalloc.start()
+    try:
+        with redirect_stdout(out):
+            _emit_records([(S.frobenius, S._mask, [3])], fmt)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * out.chars, (peak, out.chars)
 
 
 @pytest.mark.parametrize("sep", [",", ";", ", ", ",\n      "])
 def test_table_speller_joins_the_set_bits(sep):
     # each label followed by the separator; every residue of 2F+2 mod 8 up
-    # to F=40, and rows past the first few
+    # to F=40, and rows past the first few.  The first record's speller
+    # too, which has no table, and at F=2500 across its chunks of 4096
+    # labels: the full mask's 5002 labels end inside the second
     rng = random.Random(29)
-    for f in [*range(1, 41), 127, 128, 1000]:
+    chunked = _chunk_speller(sep)
+    for f in [*range(1, 41), 127, 128, 1000, 2500]:
         width = 2 * f + 2
         spell = _table_speller(f, sep)
         masks = [0, 1 << (width - 1), (1 << width) - 1]
         masks += [rng.getrandbits(width) for _ in range(20)]
         for mask in masks * 2:  # the second pass reads entries already filled
-            assert spell(mask) == "".join(f"{n}{sep}" for n in _set_bits(mask)), (f, mask)
+            want = "".join(f"{n}{sep}" for n in _set_bits(mask))
+            assert spell(mask) == want == chunked(mask), (f, mask)
 
 
 @pytest.fixture(scope="module")
@@ -358,7 +452,7 @@ def test_json_array_written_record_by_record():
             yield S
 
     with redirect_stdout(out):
-        _emit_semigroups(produce(), "json")
+        emit_semigroups(produce(), "json")
     assert json.loads(out.getvalue()) == [reference_record(S) for S in enumerate_sat(12)]
 
 

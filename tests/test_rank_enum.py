@@ -319,8 +319,10 @@ def test_enumerate_rank_pauses_the_collector_only_while_it_builds(monkeypatch):
     assert gc.isenabled()
 
     def failing_search(*args):
+        # a generator, as _grow is: its body runs as the list is built
         assert not gc.isenabled()
         raise RuntimeError("search failed")
+        yield
 
     monkeypatch.setattr("satsemi.rank_enum._grow", failing_search)
     with pytest.raises(RuntimeError, match="search failed"):
