@@ -9,24 +9,27 @@ members a layer at a time, ``rank`` each block of its search as it is
 found and ``maximal`` each member as it is made; only ``genus`` builds
 its layer before the first write.  Output is UTF-8 whatever the locale:
 text lines hold → ⟨ ⟩, so ``main`` switches a stdout in another
-encoding to UTF-8 before anything is written.  Exit codes: 0 on success, 1 on a domain error (one-line
-diagnostic on stderr), 2 on a usage error; 141 when the reader closes
-stdout and 130 on Ctrl-C, both silent.  Set SATSEMI_COLOR=1 to color
-verify status lines; data lines are never decorated.
+encoding to UTF-8 before anything is written.  Exit codes: 0 on success,
+1 on a domain error (one-line diagnostic on stderr), 2 on a usage error;
+141 when the reader closes stdout and 130 on Ctrl-C, both silent.  Set
+SATSEMI_COLOR=1 to color verify status lines; data lines are never
+decorated.
 
-The commands that print members build each record as (F, mask,
-sat_msg): the Frobenius number, the membership bitmap and the minimal
-system, taken where the code that built the member knows it.
-``enumerate`` and ``genus`` read sat_msg off the walk's nodes, whose
-gcd-drop chains are their minimal systems; ``rank`` off its search path,
-the generators n1..np it placed; ``maximal`` knows it is [x] for the
-member with step x; ``closure`` asks ``minimal_system``.  All of them
-write through ``_emit_records``, which spells every other list straight
-off a bitmap, each label followed by the format's separator: the first
-record a chunk of labels at a time (``_chunk_speller``), every later one
-a byte at a time from a table of rows (``_table_speller``), each mapping
-a byte value to the labels of its set bits.  The genus and the embedding
-dimension are bit counts.
+The commands that print members hand ``_emit_records`` their F once and
+then each member as a record (mask, sat_msg): the membership bitmap and
+the minimal system, taken where the code that built the member knows it.
+Each family's records come from the module that owns it: enumerate's and
+genus's from ``tree._walk_records``, which reads sat_msg off the walk's
+nodes, whose gcd-drop chains are their minimal systems; rank's from
+``rank_enum._rank_records``, off its search path, the generators n1..np
+it placed; maximal's from ``extremal._maximal_records``, which knows it
+is [x] for the member with step x.  ``closure`` asks ``minimal_system``.
+The writer spells every other list straight off a bitmap, each label
+followed by the format's separator: the first record a chunk of labels
+at a time (``_chunk_speller``), every later one a byte at a time from a
+table of rows (``_table_speller``), each mapping a byte value to the
+labels of its set bits.  The genus and the embedding dimension are bit
+counts.
 
 A record of the walk is mostly spelled from its parent's strings
 instead.  Its parent is the bitmap with the multiplicity m removed
@@ -59,12 +62,12 @@ import os
 import sys
 from functools import cache
 from itertools import accumulate, islice
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable
 
 from .errors import SemigroupError
-from .extremal import min_genus, minimal_non_divisors, tooth
+from .extremal import _maximal_records, min_genus
 from .oracle import check_all, refuse_above_limit
-from .rank_enum import _leaf_blocks, feasible_rank
+from .rank_enum import _rank_records, feasible_rank
 from .satsets import closure, minimal_system
 from .semigroup import (
     NumericalSemigroup,
@@ -72,12 +75,11 @@ from .semigroup import (
     _gap_window,
     _set_bit_iter,
     _small_window,
-    ordinary,
 )
-from .tree import _Node, _genus_layer, _walk
+from .tree import _genus_layer, _walk, _walk_records
 
-# a record: F, the membership bitmap over 0..F+1, and the minimal system
-_Record = tuple[int, int, list[int]]
+# a record: the membership bitmap over 0..F+1 and the minimal system
+_Record = tuple[int, list[int]]
 # maps a bitmap to the labels of its set bits, joined with a separator
 _Spell = Callable[[int], str]
 # the separator of the lists in the json array, one entry a line
@@ -173,50 +175,19 @@ def _label_strip(F: int, sep: str) -> tuple[str, list[int]]:
     return "".join(labels), list(accumulate(map(len, labels), initial=0))
 
 
-def _walk_records(F: int, layers: Iterable[list[_Node]]) -> Iterator[_Record]:
-    # records straight from walk nodes: the n_i of a node's gcd-drop chain
-    # are the members at which the running gcd drops, that is
-    # semigroup._drops of its small elements, its minimal system
-    for layer in layers:
-        for mask, chain, _ in layer:
-            yield F, mask, [n for n, _ in chain]
+def _emit_records(F: int, records: Iterable[_Record], fmt: str, stream: bool = False) -> None:
+    """Write the records (mask, sat_msg) of members of Sat(F) in the given
+    format, one at a time.
 
-
-def _rank_records(F: int, p: int) -> Iterable[_Record]:
-    # records straight from the rank search's leaf blocks, as they come,
-    # each minimal system the block's path and the last generator m.
-    # _leaf_blocks builds its tables at the call, so an F too large to
-    # represent fails before any output.  Rank 0 is the ordinary semigroup
-    if p == 0:
-        return [(F, ordinary(F + 1)._mask, [])]
-    return (
-        (F, base | t, [*gens, m])
-        for base, gens, ms, ts, k in _leaf_blocks(F, p)
-        for m, t in islice(zip(ms, ts), k, None)
-    )
-
-
-def _maximal_records(F: int) -> Iterable[_Record]:
-    # each maximal member is tooth(x, F+1), the closure of {x}, for x a
-    # minimal non-divisor of F, so its minimal system is [x].  For F in
-    # {1, 2} there is none, and the ordinary semigroup is its own maximum
-    steps = minimal_non_divisors(F)
-    if not steps:
-        return [(F, ordinary(F + 1)._mask, [])]
-    return ((F, tooth(x, F + 1)._mask, [x]) for x in steps)
-
-
-def _emit_records(records: Iterable[_Record], fmt: str, stream: bool = False) -> None:
-    """Write the records of one Sat(F) in the given format, one at a time.
-
-    One F per call: every record must have the same Frobenius number F.
     The first record is spelled by ``_chunk_speller``, so a one-record
-    command at huge F builds no table, and holds a chunk of its labels
-    at a time besides the lists it prints.  The second builds, from its F, a
-    table of rows over the labels 0..2F+1 and a strip of the labels
-    0..F+1.  The table covers every list: small elements and gaps lie
-    below F+1, and a minimal generator is the multiplicity m <= F+1 or a
-    member of its Apery set, so it is at most F + m <= 2F+1.
+    command at huge F builds no table, and holds a chunk of its labels at
+    a time besides the lists it prints.  The windows of the small elements
+    and the gaps are built at the first record, so an empty family builds
+    no bitmap and prints at any F.  The second record builds a table of
+    rows over the labels 0..2F+1 and a strip of the labels 0..F+1.  The
+    table covers every list: small elements and gaps lie below F+1, and a
+    minimal generator is the multiplicity m <= F+1 or a member of its
+    Apery set, so it is at most F + m <= 2F+1.
 
     A record whose parent was written in the genus layer just before is
     spelled from the parent's strings; see the module docstring.  Every
@@ -232,7 +203,7 @@ def _emit_records(records: Iterable[_Record], fmt: str, stream: bool = False) ->
     if fmt == "csv":
         out.write(",".join(SEMIGROUP_CSV_COLUMNS) + "\n")
     spell = _chunk_speller(sep)
-    lead = "[\n" if array else ""
+    lead = "[\n"  # what precedes a block of the json array
     # mask -> (small, above, m) for the records of genus `layer` + 1 and
     # `layer`: small the labels of the nonzero small elements, above those
     # of the gaps above the multiplicity m
@@ -240,13 +211,14 @@ def _emit_records(records: Iterable[_Record], fmt: str, stream: bool = False) ->
     cur: dict[int, tuple[str, str, int]] = {}
     layer = -2  # below any genus by more than one
     count = 0
-    for F, mask, sat_msg in records:
-        if count < 2:  # windows from the first record, table and strip from the second
-            small_window, gap_window = _small_window(F), _gap_window(F)
+    for mask, sat_msg in records:
+        if count < 2:  # windows at the first record, table and strip at the second
             if count:
                 spell = _table_speller(F, sep)
                 strip, at = _label_strip(F, sep)
-                lead = ",\n" if array else ""
+                lead = ",\n"
+            else:
+                small_window, gap_window = _small_window(F), _gap_window(F)
         count += 1
         genus = F + 2 - mask.bit_count()
         if genus != layer:
@@ -285,9 +257,10 @@ def _emit_records(records: Iterable[_Record], fmt: str, stream: bool = False) ->
                 f"{small[:cut]},{spell(msg)[:cut]}," + ";".join(map(str, sat_msg)) + "\n"
             )
         elif array:
-            # json.dumps(record, indent=2) as it sits in the top-level array
+            # json.dumps(record, indent=2) as it sits in the top-level array,
+            # with its lead in the same string: `lead + line` would copy it
             line = (
-                f'  {{\n    "frobenius": {F},\n'
+                f'{lead}  {{\n    "frobenius": {F},\n'
                 f'    "small_elements": {_block_list(small[:cut])},\n'
                 f'    "msg": {_block_list(spell(msg)[:cut])},\n'
                 f'    "genus": {genus},\n    "multiplicity": {m},\n'
@@ -304,7 +277,7 @@ def _emit_records(records: Iterable[_Record], fmt: str, stream: bool = False) ->
                 f'"gaps": [{gaps[:cut]}], "sat_msg": [{", ".join(map(str, sat_msg))}], '
                 f'"embedding_dimension": {msg.bit_count()}, "rank": {len(sat_msg)}}}\n'
             )
-        out.write(lead + line)
+        out.write(line)
     if array:
         out.write("\n]\n" if count else "[]\n")
     elif fmt == "text" and not stream:
@@ -365,18 +338,18 @@ _nonnegative = _int_at_least(0)
 
 def _cmd_enumerate(args: argparse.Namespace) -> int:
     F = args.frobenius
-    _emit_records(_walk_records(F, _walk(F)), args.format, stream=args.stream)
+    _emit_records(F, _walk_records(_walk(F)), args.format, stream=args.stream)
     return 0
 
 
 def _cmd_genus(args: argparse.Namespace) -> int:
     F = args.frobenius
-    _emit_records(_walk_records(F, [_genus_layer(F, args.genus)]), args.format)
+    _emit_records(F, _walk_records([_genus_layer(F, args.genus)]), args.format)
     return 0
 
 
 def _cmd_maximal(args: argparse.Namespace) -> int:
-    _emit_records(_maximal_records(args.frobenius), args.format)
+    _emit_records(args.frobenius, _maximal_records(args.frobenius), args.format)
     return 0
 
 
@@ -393,7 +366,7 @@ def _cmd_min_genus(args: argparse.Namespace) -> int:
 
 def _cmd_closure(args: argparse.Namespace) -> int:
     S = closure(args.frobenius, args.set)
-    _emit_records([(S.frobenius, S._mask, list(minimal_system(S).elements))], args.format)
+    _emit_records(S.frobenius, [(S._mask, list(minimal_system(S).elements))], args.format)
     return 0
 
 
@@ -419,7 +392,7 @@ def _cmd_min_gens(args: argparse.Namespace) -> int:
 
 
 def _cmd_rank(args: argparse.Namespace) -> int:
-    _emit_records(_rank_records(args.frobenius, args.rank), args.format)
+    _emit_records(args.frobenius, _rank_records(args.frobenius, args.rank), args.format)
     return 0
 
 

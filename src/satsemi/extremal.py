@@ -10,6 +10,7 @@ step.
 from __future__ import annotations
 
 from math import isqrt
+from typing import Iterable
 
 from .errors import NotRepresentable
 from .satsets import closure
@@ -86,10 +87,20 @@ def maximal_elements(frobenius: int) -> list[NumericalSemigroup]:
     """
     if frobenius < 1:
         raise ValueError("frobenius must be >= 1")
+    records = _maximal_records(frobenius)
+    return [NumericalSemigroup._raw(frobenius, mask) for mask, _ in records]
+
+
+def _maximal_records(frobenius: int) -> Iterable[tuple[int, list[int]]]:
+    # the maximal members, each as its bitmap and its minimal system, for
+    # maximal_elements and the CLI's maximal: the member with step x is
+    # tooth(x, F+1), the closure of {x}, so its minimal system is [x].  For
+    # F in {1, 2} there is no step, and the ordinary semigroup is its own
+    # maximum
     steps = minimal_non_divisors(frobenius)
     if not steps:
-        return [ordinary(frobenius + 1)]
-    return [tooth(x, frobenius + 1) for x in steps]
+        return [(ordinary(frobenius + 1)._mask, [])]
+    return ((tooth(x, frobenius + 1)._mask, [x]) for x in steps)
 
 
 def least_non_divisor(n: int) -> int:

@@ -76,9 +76,9 @@ member: its base, the generators n1..n(p-1) on its path, and the last
 generators and tails that complete it.  ``enumerate_rank`` turns the
 blocks into a list, building each member in place as
 ``NumericalSemigroup._raw`` would, since a call per member cost more
-than the search.  The CLI's ``rank`` turns them into records as they
-come, each with its minimal system read off the path, so it streams and
-never re-derives a minimal system.
+than the search.  ``_rank_records`` turns them into the CLI's records
+as they come, each with its minimal system read off the path, so
+``rank`` streams and never re-derives a minimal system.
 """
 
 from __future__ import annotations
@@ -86,7 +86,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from itertools import islice
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .errors import NotASatSequence
 from .extremal import least_non_divisor
@@ -281,6 +281,21 @@ def enumerate_rank(frobenius: int, p: int) -> list[NumericalSemigroup]:
     return out
 
 
+def _rank_records(frobenius: int, p: int) -> Iterable[tuple[int, list[int]]]:
+    # the CLI's records of rank p, each member's bitmap and minimal system,
+    # a leaf block at a time as the search finds it: the minimal system is
+    # the block's path and the last generator m.  _leaf_blocks builds its
+    # tables at the call, so an F too large to represent fails before any
+    # output.  Rank 0 is the ordinary semigroup
+    if p == 0:
+        return [(ordinary(frobenius + 1)._mask, [])]
+    return (
+        (base | t, [*gens, m])
+        for base, gens, ms, ts, k in _leaf_blocks(frobenius, p)
+        for m, t in islice(zip(ms, ts), k, None)
+    )
+
+
 def _leaf_blocks(frobenius: int, p: int) -> Iterator[_Block]:
     """The leaf blocks of the rank-p search, p >= 1, in canonical order;
     none when p is infeasible.  See ``_grow`` for a block.
@@ -391,10 +406,7 @@ def _last_progressions(
 ) -> tuple[list[int], list[int]]:
     """The last generators m > d of a leaf-parent state with prefix gcd d,
     ascending, and the last progression ``mult[gcd(d, m)] >> m << m`` of
-    each.  At the root (d = 0) gcd(0, m) = m, and ``mult[m]`` is reused
-    as it is, since it starts at m.
+    each; at the root (d = 0) that is ``mult[m]``, as gcd(0, m) = m.
     """
     ms = _set_bits(nexts >> (d + 1) << (d + 1))
-    if not d:
-        return ms, [mult[m] for m in ms]
     return ms, [mult[math.gcd(d, m)] >> m << m for m in ms]

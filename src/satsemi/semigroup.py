@@ -98,8 +98,9 @@ class NumericalSemigroup:
 
     @classmethod
     def _raw(cls, frobenius: int, mask: int) -> "NumericalSemigroup":
-        # trusted path for values already known valid; rank_enum._grow's
-        # leaf loop and tree._members inline copies, so keep the three alike
+        # trusted path for values already known valid; the leaf loop of
+        # rank_enum.enumerate_rank and tree._members inline copies, so keep
+        # the three alike
         self = object.__new__(cls)
         self.frobenius = frobenius
         self._mask = mask

@@ -104,7 +104,7 @@ from __future__ import annotations
 
 from itertools import islice
 from math import gcd, isqrt
-from typing import Iterator
+from typing import Iterable, Iterator
 
 from .errors import PreconditionViolated, ResidueClassMissing
 from .extremal import min_genus
@@ -299,7 +299,7 @@ def _root(frobenius: int) -> _Node:
 
 def _walk(frobenius: int) -> Iterator[list[_Node]]:
     # the layers of the tree as lists of nodes, in the order of iter_layers;
-    # the CLI prints enumerate's and genus's records straight from the nodes
+    # _walk_records reads the CLI's records straight off the nodes
     if frobenius < 1:
         raise ValueError("frobenius must be >= 1")
     table = _FirstLink(frobenius)
@@ -317,6 +317,15 @@ def _genus_layer(frobenius: int, genus: int) -> list[_Node]:
     if genus > frobenius or genus < min_genus(frobenius):
         return []
     return next(islice(_walk(frobenius), frobenius - genus, None), [])
+
+
+def _walk_records(layers: Iterable[list[_Node]]) -> Iterator[tuple[int, list[int]]]:
+    # the CLI's records of enumerate and genus: each node's bitmap and its
+    # minimal system, the n_i of its gcd-drop chain, which are the members
+    # at which the running gcd drops (semigroup._drops of its small elements)
+    for layer in layers:
+        for mask, chain, _ in layer:
+            yield mask, [n for n, _ in chain]
 
 
 def _members(frobenius: int, layer: list[_Node]) -> list[NumericalSemigroup]:
@@ -368,9 +377,10 @@ def enumerate_sat_genus(frobenius: int, genus: int) -> list[NumericalSemigroup]:
     """The members with the given genus; empty when the genus is unreachable.
 
     Genus g occurs exactly for min_genus(F) <= g <= F, as the walk's layer
-    at depth F - g, whose nodes the CLI's ``genus`` prints unwrapped.  As
-    in ``enumerate_sat``, the cyclic collector is paused while the layer
-    is built, and cyclic garbage from other threads waits until it returns.
+    at depth F - g, whose nodes ``_walk_records`` turns into the CLI's
+    records.  As in ``enumerate_sat``, the cyclic collector is paused while
+    the layer is built, and cyclic garbage from other threads waits until
+    it returns.
     """
     with _collector_paused():
         return _members(frobenius, _genus_layer(frobenius, genus))

@@ -21,7 +21,6 @@ from satsemi.cli import (
     _chunk_speller,
     _emit_records,
     _table_speller,
-    _walk_records,
     main,
 )
 from satsemi.extremal import maximal_elements
@@ -35,7 +34,7 @@ from satsemi.semigroup import (
     _set_bits,
     _small_window,
 )
-from satsemi.tree import _walk, enumerate_sat, enumerate_sat_genus
+from satsemi.tree import _walk, _walk_records, enumerate_sat, enumerate_sat_genus
 from test_golden import GOLDEN
 from test_satsets import literal_drops
 
@@ -56,16 +55,14 @@ def captured(emit, *args):
     return out.getvalue()
 
 
-def emit_semigroups(semigroups, fmt):
-    """The reference record path: saturated members of one Sat(F) through
-    the CLI's writer, each minimal system re-read off the member's
-    small-element bitmap with ``semigroup._drops`` instead of taken from
-    the code that built the member, as the commands take it."""
-    records = (
-        (S.frobenius, S._mask, _drops(S.frobenius, S._mask & _small_window(S.frobenius)))
-        for S in semigroups
-    )
-    _emit_records(records, fmt)
+def emit_semigroups(F, semigroups, fmt):
+    """The reference record path: members of Sat(F) through the CLI's
+    writer, each minimal system re-read off the member's small-element
+    bitmap with ``semigroup._drops`` instead of taken from the code that
+    built the member, as the commands take it.  F is given, as to the
+    writer, since an empty group has no member to read it from."""
+    records = ((S._mask, _drops(F, S._mask & _small_window(F))) for S in semigroups)
+    _emit_records(F, records, fmt)
 
 
 def reference_record(S: NumericalSemigroup) -> dict:
@@ -189,6 +186,16 @@ def test_empty_json_array():
     assert out == (0, "[]\n")
 
 
+def test_no_member_at_huge_f_prints_an_empty_family():
+    # the writer builds its windows at the first record, so a family with
+    # no member prints even at an F whose bitmap cannot be built
+    F = str(10**18)
+    for argv in (["genus", "--frobenius", F, "--genus", "5"], ["rank", "--frobenius", F, "--rank", "70"]):
+        assert run_cli(*argv) == (0, "0\n")
+        assert run_cli(*argv, "--format", "json") == (0, "[]\n")
+        assert run_cli(*argv, "--format", "csv") == (0, ",".join(SEMIGROUP_CSV_COLUMNS) + "\n")
+
+
 def reference_line(rec, fmt, stream):
     """A record as the literal encoders write it: a text line, a csv row,
     a json line, or its block of the indented json array."""
@@ -239,11 +246,11 @@ def references():
     families = {}
     for f in [*range(1, 61), 83]:
         members = enumerate_sat(f)
-        families[f] = members, list(_walk_records(f, _walk(f))), checked(members)
-    groups = [maximal_elements(f) for f in (61, 97, 128)]
-    groups += [[closure(f, xs)] for f, xs in CLOSURES[:3]]
-    groups += [[closure(f, xs) for f, xs in CLOSURES[3:]], []]
-    return families, [(members, checked(members)) for members in groups]
+        families[f] = members, list(_walk_records(_walk(f))), checked(members)
+    groups = [(f, maximal_elements(f)) for f in (61, 97, 128)]
+    groups += [(f, [closure(f, xs)]) for f, xs in CLOSURES[:3]]
+    groups += [(199, [closure(f, xs) for f, xs in CLOSURES[3:]]), (199, [])]
+    return families, [(f, members, checked(members)) for f, members in groups]
 
 
 FORMATS = [("text", False), ("text", True), ("json", False), ("json", True), ("csv", False)]
@@ -271,16 +278,16 @@ def test_formatters_match_reference_encoders(references, fmt, stream):
         if f == 83:
             continue
         if not stream:
-            assert captured(emit_semigroups, members, fmt).split("\n") == want, f
+            assert captured(emit_semigroups, f, members, fmt).split("\n") == want, f
         for S, rec, line in zip(members, walked, lines, strict=True):
             want = reference_output([line], fmt, stream)
-            assert captured(_emit_records, [rec], fmt, stream) == want, (f, S)
+            assert captured(_emit_records, f, [rec], fmt, stream) == want, (f, S)
             if not stream:
-                assert captured(emit_semigroups, [S], fmt) == want, (f, S)
+                assert captured(emit_semigroups, f, [S], fmt) == want, (f, S)
     if not stream:
-        for members, records in groups:
+        for f, members, records in groups:
             want = reference_output([reference_line(r, fmt, stream) for r in records], fmt, stream)
-            assert captured(emit_semigroups, members, fmt).split("\n") == want.split("\n")
+            assert captured(emit_semigroups, f, members, fmt).split("\n") == want.split("\n")
 
 
 @pytest.mark.parametrize("fmt, stream", FORMATS)
@@ -301,7 +308,7 @@ def test_writer_does_not_rely_on_walk_order(references, fmt, stream):
         missing = [i for i in order if depth[i] != depth[-1] // 2]
         for picked in (within, shuffled, missing):
             want = reference_output([lines[i] for i in picked], fmt, stream)
-            got = captured(_emit_records, [walked[i] for i in picked], fmt, stream)
+            got = captured(_emit_records, f, [walked[i] for i in picked], fmt, stream)
             # lists, not strings, as in the test above
             assert got.split("\n") == want.split("\n"), (f, picked)
 
@@ -314,32 +321,32 @@ def test_formatters_match_reference_encoders_at_large_f(fmt, stream):
     family = maximal_elements(257) + [closure(257, [])]
     records = [reference_record(S) for S in family]
     want = reference_output([reference_line(r, fmt, stream) for r in records], fmt, stream)
-    triples = [(257, S._mask, rec["sat_msg"]) for S, rec in zip(family, records)]
+    pairs = [(S._mask, rec["sat_msg"]) for S, rec in zip(family, records)]
     # lists, not strings, as in the test above
-    assert captured(_emit_records, triples, fmt, stream).split("\n") == want.split("\n")
+    assert captured(_emit_records, 257, pairs, fmt, stream).split("\n") == want.split("\n")
 
 
 def printed_groups(command):
-    # (argv, the library's members) for every input the check below runs
+    # (F, argv, the library's members) for every input the check below runs
     if command == "genus":
         for f in range(1, 41):
             for g in range(f + 2):
-                yield ["--frobenius", str(f), "--genus", str(g)], enumerate_sat_genus(f, g)
+                yield f, ["--frobenius", str(f), "--genus", str(g)], enumerate_sat_genus(f, g)
     elif command == "rank":
         # every p up to the first infeasible one, which prints no member
         for f in range(1, 61):
             p = 0
             while True:
-                yield ["--frobenius", str(f), "--rank", str(p)], enumerate_rank(f, p)
+                yield f, ["--frobenius", str(f), "--rank", str(p)], enumerate_rank(f, p)
                 if not feasible_rank(f, p):
                     break
                 p += 1
     elif command == "maximal":
         for f in [*range(1, 62), 97, 128]:
-            yield ["--frobenius", str(f)], maximal_elements(f)
+            yield f, ["--frobenius", str(f)], maximal_elements(f)
     else:
         for f, xs in CLOSURES:
-            yield ["--frobenius", str(f), "--set", ",".join(map(str, xs))], [closure(f, xs)]
+            yield f, ["--frobenius", str(f), "--set", ",".join(map(str, xs))], [closure(f, xs)]
 
 
 @pytest.mark.parametrize("command", ["genus", "rank", "maximal", "closure"])
@@ -348,10 +355,10 @@ def test_command_records_match_the_drops_path(command):
     # walk's chains (genus), the search path (rank), the step (maximal) or
     # minimal_system (closure); the reference re-reads it from each member
     # of the library's list with semigroup._drops
-    for argv, members in printed_groups(command):
+    for f, argv, members in printed_groups(command):
         for fmt in ("text", "json", "csv"):
             got = captured(main, [command, *argv, "--format", fmt])
-            want = captured(emit_semigroups, members, fmt)
+            want = captured(emit_semigroups, f, members, fmt)
             assert got.split("\n") == want.split("\n"), (argv, fmt)
 
 
@@ -389,21 +396,48 @@ class CharCount:
         self.chars += len(text)
 
 
+class ByteCount(io.RawIOBase):
+    # a raw file that keeps only the number of bytes written
+    nbytes = 0
+
+    def writable(self):
+        return True
+
+    def write(self, data):
+        self.nbytes += len(data)
+        return len(data)
+
+
+def traced_peak(out, *args):
+    # the tracemalloc peak of _emit_records(*args) written to out
+    tracemalloc.start()
+    try:
+        with redirect_stdout(out):
+            _emit_records(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 @pytest.mark.parametrize("fmt", ["text", "json", "csv"])
 def test_one_record_at_large_f_holds_a_chunk_of_labels_at_a_time(fmt):
     # closure(200000, [3]) has 66,666 small elements and 133,334 gaps.
     # Spelled from one list of positions and one of labels, a single
     # record peaked at 5.9 times its output in json and 16.4 in text
     S = closure(200000, [3])
+    args = S.frobenius, [(S._mask, [3])], fmt
     out = CharCount()
-    tracemalloc.start()
-    try:
-        with redirect_stdout(out):
-            _emit_records([(S.frobenius, S._mask, [3])], fmt)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    peak = traced_peak(out, *args)
     assert peak < 4 * out.chars, (peak, out.chars)
+    if fmt == "json":
+        # through a stdout that encodes, as sys.stdout does, the line is
+        # also held as bytes; written as lead + line, the json block was
+        # copied once more before that, and peaked at 4.03 times its bytes
+        raw = ByteCount()
+        out = io.TextIOWrapper(raw, encoding="utf-8")
+        peak = traced_peak(out, *args)
+        out.flush()
+        assert peak < 3.5 * raw.nbytes, (peak, raw.nbytes)
 
 
 @pytest.mark.parametrize("sep", [",", ";", ", ", ",\n      "])
@@ -452,7 +486,7 @@ def test_json_array_written_record_by_record():
             yield S
 
     with redirect_stdout(out):
-        emit_semigroups(produce(), "json")
+        emit_semigroups(12, produce(), "json")
     assert json.loads(out.getvalue()) == [reference_record(S) for S in enumerate_sat(12)]
 
 
@@ -604,15 +638,17 @@ def test_exit_hook_freezes_the_collector_only_at_exit():
     # the collections at interpreter exit would traverse everything import
     # built; main registers gc.freeze to run at exit, once per process,
     # and leaves the collector running and unfrozen meanwhile.  Exit hooks
-    # run last in first out, so the probe runs after the freeze
+    # run last in first out, so the probe runs after the freeze.  Counts
+    # are from the start: Python 3.12 starts with a nonzero freeze count
     code = (
         "import atexit, gc\n"
-        "atexit.register(lambda: print('at exit', gc.get_freeze_count() > 0))\n"
+        "base = gc.get_freeze_count()\n"
+        "atexit.register(lambda: print('at exit', gc.get_freeze_count() > base))\n"
         "from satsemi.cli import main\n"
         "hooks = atexit._ncallbacks()\n"
         "for _ in range(2):\n"
         "    main(['min-genus', '--frobenius', '7'])\n"
-        "    print('after main', gc.isenabled(), gc.get_freeze_count())\n"
+        "    print('after main', gc.isenabled(), gc.get_freeze_count() - base)\n"
         "    print('new hooks', atexit._ncallbacks() - hooks)\n"
     )
     assert fresh_interpreter(code).splitlines() == [

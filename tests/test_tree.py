@@ -18,6 +18,7 @@ from satsemi.tree import (
     enumerate_sat_genus,
     extension_is_saturated,
     iter_layers,
+    iter_sat,
     special_gaps_from_msg,
 )
 
@@ -291,4 +292,21 @@ def test_iter_layers_leaves_the_collector_on_between_layers():
     next(layers)
     assert gc.isenabled()
     assert next(layers)
+    assert gc.isenabled()
+
+
+def test_iter_sat_streams_the_family_and_leaves_the_collector_on():
+    # member for member the list that enumerate_sat builds, and, as a
+    # generator, it never pauses the collector, so stopping it partway
+    # leaves the collector on
+    for f in range(1, 41):
+        members = enumerate_sat(f)
+        streamed = list(iter_sat(f))
+        assert streamed == members, f
+        assert all(type(S) is NumericalSemigroup for S in streamed), f
+    members = iter_sat(40)
+    for _ in range(100):
+        next(members)
+        assert gc.isenabled()
+    members.close()
     assert gc.isenabled()
