@@ -14,7 +14,7 @@ from typing import Iterable
 
 from .errors import NotRepresentable
 from .satsets import closure
-from .semigroup import NumericalSemigroup, _multiples, _set_bits, ordinary
+from .semigroup import NumericalSemigroup, _members, _multiples, _set_bits, ordinary
 
 __all__ = [
     "tooth",
@@ -87,8 +87,7 @@ def maximal_elements(frobenius: int) -> list[NumericalSemigroup]:
     """
     if frobenius < 1:
         raise ValueError("frobenius must be >= 1")
-    records = _maximal_records(frobenius)
-    return [NumericalSemigroup._raw(frobenius, mask) for mask, _ in records]
+    return _members(frobenius, [mask for mask, _ in _maximal_records(frobenius)])
 
 
 def _maximal_records(frobenius: int) -> Iterable[tuple[int, list[int]]]:

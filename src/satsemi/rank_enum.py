@@ -73,12 +73,11 @@ would only hold memory.
 
 So the search yields one block per leaf-parent state, not one item per
 member: its base, the generators n1..n(p-1) on its path, and the last
-generators and tails that complete it.  ``enumerate_rank`` turns the
-blocks into a list, building each member in place as
-``NumericalSemigroup._raw`` would, since a call per member cost more
-than the search.  ``_rank_records`` turns them into the CLI's records
-as they come, each with its minimal system read off the path, so
-``rank`` streams and never re-derives a minimal system.
+generators and tails that complete it.  ``enumerate_rank`` lists the
+bitmaps of the blocks' members and passes them to ``semigroup._members``,
+the library's one list builder.  ``_rank_records`` turns the blocks into
+the CLI's records as they come, each with its minimal system read off
+the path, so ``rank`` streams and never re-derives a minimal system.
 """
 
 from __future__ import annotations
@@ -94,6 +93,7 @@ from .satsets import closure
 from .semigroup import (
     NumericalSemigroup,
     _collector_paused,
+    _members,
     _multiples,
     _set_bits,
     ordinary,
@@ -256,29 +256,26 @@ def enumerate_rank(frobenius: int, p: int) -> list[NumericalSemigroup]:
     next generator in ascending order from the table of ``_next_table``,
     so that every branch it enters ends in a member and the members come
     out in canonical order (see the module docstring).  The list is built
-    from the search's leaf blocks (``_leaf_blocks``): each member is one
-    OR of its block's base and a tail shared by every state with the same
-    prefix gcd.  The cyclic collector is paused while the list is built,
-    since a member holds two ints and joins no cycle; cyclic garbage made
-    meanwhile by other threads waits until the call returns.
+    from the search's leaf blocks (``_leaf_blocks``): each member's bitmap
+    is one OR of its block's base and a tail shared by every state with
+    the same prefix gcd, and ``semigroup._members`` makes the bitmaps
+    members.  The cyclic collector is paused while the search runs and the
+    list is built, since a member holds two ints and joins no cycle;
+    cyclic garbage made meanwhile by other threads waits until the call
+    returns.
     """
     if frobenius < 1 or p < 0:
         raise ValueError("need frobenius >= 1 and p >= 0")
     if p == 0:
         return [ordinary(frobenius + 1)]
-    blocks = _leaf_blocks(frobenius, p)
-    out: list[NumericalSemigroup] = []
-    # NumericalSemigroup._raw inlined: a call per member cost more than
-    # the search
-    new, append = object.__new__, out.append
     with _collector_paused():
-        for base, _, _, ts, k in blocks:
-            for t in islice(ts, k, None):
-                S = new(NumericalSemigroup)
-                S.frobenius = frobenius
-                S._mask = base | t
-                append(S)
-    return out
+        # a list, not a generator: feeding _members a generator was slower
+        masks = [
+            base | t
+            for base, _, _, ts, k in _leaf_blocks(frobenius, p)
+            for t in islice(ts, k, None)
+        ]
+        return _members(frobenius, masks)
 
 
 def _rank_records(frobenius: int, p: int) -> Iterable[tuple[int, list[int]]]:

@@ -19,8 +19,10 @@ members past F+1, ``_ext`` writes out that many bits of the implicit
 tail.  Every bitmap of the multiples of a step comes from
 ``_multiples``, and every list of the gcd drops of the small elements
 from ``_drops``; only the enumeration kernels keep incremental forms.
-The list builders of the enumerations pause the cyclic collector with
-``_collector_paused``.
+Every list of members that an enumeration returns is built by
+``_members``, and every other member known valid by ``_raw``, so only
+this module writes a semigroup's slots.  The enumerations pause the
+cyclic collector with ``_collector_paused`` while they build a list.
 
 The set of all nonnegative integers has no largest gap and is therefore
 not representable; constructors reject it.
@@ -98,9 +100,8 @@ class NumericalSemigroup:
 
     @classmethod
     def _raw(cls, frobenius: int, mask: int) -> "NumericalSemigroup":
-        # trusted path for values already known valid; the leaf loop of
-        # rank_enum.enumerate_rank and tree._members inline copies, so keep
-        # the three alike
+        # trusted path for a value already known valid; _members builds a
+        # list of them with the same two slot writes, so keep the two alike
         self = object.__new__(cls)
         self.frobenius = frobenius
         self._mask = mask
@@ -419,6 +420,20 @@ def _saturated_drops(frobenius: int, mask: int) -> list[int] | None:
         if ((mask & ((1 << stop) - (1 << n))) << g) & window & ~mask:
             return None
     return ns
+
+
+def _members(frobenius: int, masks: Iterable[int]) -> list[NumericalSemigroup]:
+    # bitmaps already known valid as members, each built in place as
+    # NumericalSemigroup._raw builds one: a call per member cost more than
+    # the search that found them
+    members: list[NumericalSemigroup] = []
+    new, append = object.__new__, members.append
+    for mask in masks:
+        S = new(NumericalSemigroup)
+        S.frobenius = frobenius
+        S._mask = mask
+        append(S)
+    return members
 
 
 @contextmanager

@@ -104,11 +104,12 @@ from __future__ import annotations
 
 from itertools import islice
 from math import gcd, isqrt
+from operator import itemgetter
 from typing import Iterable, Iterator
 
 from .errors import PreconditionViolated, ResidueClassMissing
 from .extremal import min_genus
-from .semigroup import NumericalSemigroup, _collector_paused, _multiples, ordinary
+from .semigroup import NumericalSemigroup, _collector_paused, _members, _multiples, ordinary
 
 __all__ = [
     "special_gaps_from_msg",
@@ -328,19 +329,6 @@ def _walk_records(layers: Iterable[list[_Node]]) -> Iterator[tuple[int, list[int
             yield mask, [n for n, _ in chain]
 
 
-def _members(frobenius: int, layer: list[_Node]) -> list[NumericalSemigroup]:
-    # the layer's nodes as members, each built in place as
-    # NumericalSemigroup._raw would: a call per member cost more than the walk
-    members: list[NumericalSemigroup] = []
-    new, append = object.__new__, members.append
-    for mask, _, _ in layer:
-        S = new(NumericalSemigroup)
-        S.frobenius = frobenius
-        S._mask = mask
-        append(S)
-    return members
-
-
 def iter_layers(frobenius: int) -> Iterator[list[NumericalSemigroup]]:
     """Yield the tree layer by layer; layer k holds the members of genus F-k.
 
@@ -348,7 +336,7 @@ def iter_layers(frobenius: int) -> Iterator[list[NumericalSemigroup]]:
     lists.
     """
     for layer in _walk(frobenius):
-        yield _members(frobenius, layer)
+        yield _members(frobenius, map(itemgetter(0), layer))
 
 
 def iter_sat(frobenius: int) -> Iterator[NumericalSemigroup]:
@@ -383,7 +371,7 @@ def enumerate_sat_genus(frobenius: int, genus: int) -> list[NumericalSemigroup]:
     it returns.
     """
     with _collector_paused():
-        return _members(frobenius, _genus_layer(frobenius, genus))
+        return _members(frobenius, map(itemgetter(0), _genus_layer(frobenius, genus)))
 
 
 def chain(S: NumericalSemigroup) -> list[NumericalSemigroup]:

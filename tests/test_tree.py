@@ -6,6 +6,8 @@ from math import gcd
 import pytest
 
 from satsemi.errors import PreconditionViolated, ResidueClassMissing
+from satsemi.extremal import maximal_elements
+from satsemi.rank_enum import enumerate_rank
 from satsemi.satsets import minimal_system
 from satsemi.semigroup import NumericalSemigroup, _multiples, ordinary
 from satsemi.tree import (
@@ -258,23 +260,36 @@ def test_walk_equals_reference_walk(f):
     assert next(walk, None) is None
 
 
+def failing_expand(*args):
+    assert not gc.isenabled()
+    raise RuntimeError("search failed")
+
+
+def failing_grow(*args):
+    # a generator, as rank_enum._grow is: its body runs as the list is built
+    assert not gc.isenabled()
+    raise RuntimeError("search failed")
+    yield
+
+
 @pytest.mark.parametrize(
-    "build",
-    [partial(enumerate_sat, 40), partial(enumerate_sat_genus, 40, 30)],
-    ids=["enumerate_sat", "enumerate_sat_genus"],
+    "build, search, failing_search",
+    [
+        (partial(enumerate_sat, 40), "satsemi.tree._expand", failing_expand),
+        (partial(enumerate_sat_genus, 40, 30), "satsemi.tree._expand", failing_expand),
+        (partial(enumerate_rank, 60, 3), "satsemi.rank_enum._grow", failing_grow),
+    ],
+    ids=["enumerate_sat", "enumerate_sat_genus", "enumerate_rank"],
 )
-def test_builders_pause_the_collector_only_while_they_build(monkeypatch, build):
+def test_builders_pause_the_collector_only_while_they_build(
+    monkeypatch, build, search, failing_search
+):
     # the collector is on again after a return and after a raise, and a
     # caller's disabled collector stays disabled
     assert build()
     assert gc.isenabled()
-
-    def failing_expand(*args):
-        assert not gc.isenabled()
-        raise RuntimeError("walk failed")
-
-    monkeypatch.setattr("satsemi.tree._expand", failing_expand)
-    with pytest.raises(RuntimeError, match="walk failed"):
+    monkeypatch.setattr(search, failing_search)
+    with pytest.raises(RuntimeError, match="search failed"):
         build()
     assert gc.isenabled()
     monkeypatch.undo()
@@ -310,3 +325,24 @@ def test_iter_sat_streams_the_family_and_leaves_the_collector_on():
         assert gc.isenabled()
     members.close()
     assert gc.isenabled()
+
+
+def test_every_library_builder_returns_plain_members():
+    # each list the library returns holds NumericalSemigroup itself, with
+    # the given F and a bitmap that the validating constructor accepts
+    for f in (1, 2, 12, 30):
+        built = {
+            "iter_layers": [S for layer in iter_layers(f) for S in layer],
+            "enumerate_sat": enumerate_sat(f),
+            "enumerate_sat_genus": [
+                S for g in range(f + 2) for S in enumerate_sat_genus(f, g)
+            ],
+            "enumerate_rank": [S for p in range(6) for S in enumerate_rank(f, p)],
+            "maximal_elements": maximal_elements(f),
+        }
+        for name, members in built.items():
+            assert members, (f, name)
+            for S in members:
+                assert type(S) is NumericalSemigroup, (f, name)
+                assert S.frobenius == f, (f, name)
+                assert S == NumericalSemigroup(f, S._mask), (f, name)
