@@ -66,10 +66,28 @@ can be dropped: the member is base | tail, with base = mask | (the
 multiples of d from n up) computed once per state, and tail = (the
 multiples of g from m up) depending on (d, m) alone.  From rank 3 on
 the tails are kept per d, because a few prefix gcds serve every state
-(at F = 199, p = 3, 45 of them serve 39,919 members).  Below rank 3
-nothing would be shared: at p = 1 the root is the only leaf parent, and
-at p = 2 each leaf parent (n1, n1) has its own d, so keeping the tails
-would only hold memory.
+(at F = 199, p = 3, 45 of them serve 39,919 members), and kept across
+calls at the same F, since a tail depends on F and d alone.  Below
+rank 3 nothing would be shared: at p = 1 the root is the only leaf
+parent, and at p = 2 each leaf parent (n1, n1) has its own d, so
+keeping the tails would only hold memory.
+
+The tables are built once per F and shared by every p.  ``mult`` and
+the sieve rows depend on F alone (row r is the same whatever p asks
+for it); only the first-generator row depends on p, as it reads the
+bounds of row p - 1.  So the module keeps one ``_Tables`` for the last
+F asked: ``mult``, the sieve rows grown to the largest p asked, and the
+rank >= 3 tails.  Stratifying a family by rank, p = 1..5, then builds
+``mult`` once and four sieve rows, where a build per call would take
+five ``mult`` and ten rows.  A call at another F replaces the object
+whole, so at most one F's tables stay alive after a call returns: by
+tracemalloc, 0.29 MB at F = 199 (p <= 8), 1.41 MB at F = 500 (p <= 4)
+and 1.0 MB at F = 2000 (p <= 2).  ``mult`` and each row take about F^2
+bits, so even a single call at a large F keeps them until a call at
+another F: 44.5 MB after ``enumerate_rank(20000, 1)``.  Threads may
+share the tables: rows are grown into a new list in a new object, which
+is then published whole, so no caller reads a half-grown list, and a
+tails entry is added in place, as its value depends on d alone.
 
 So the search yields one block per leaf-parent state, not one item per
 member: its base, the generators n1..n(p-1) on its path, and the last
@@ -253,16 +271,18 @@ def enumerate_rank(frobenius: int, p: int) -> list[NumericalSemigroup]:
     elements.
 
     A depth-first search over minimal systems n1 < .. < np, trying the
-    next generator in ascending order from the table of ``_next_table``,
-    so that every branch it enters ends in a member and the members come
-    out in canonical order (see the module docstring).  The list is built
-    from the search's leaf blocks (``_leaf_blocks``): each member's bitmap
-    is one OR of its block's base and a tail shared by every state with
-    the same prefix gcd, and ``semigroup._members`` makes the bitmaps
-    members.  The cyclic collector is paused while the search runs and the
-    list is built, since a member holds two ints and joins no cycle;
-    cyclic garbage made meanwhile by other threads waits until the call
-    returns.
+    next generator in ascending order from the sieve rows of
+    ``_next_rows`` and ``_first_row``, so that every branch it enters ends
+    in a member and the members come out in canonical order (see the
+    module docstring).  The list is built from the search's leaf blocks
+    (``_leaf_blocks``): each member's bitmap is one OR of its block's base
+    and a tail shared by every state with the same prefix gcd, and
+    ``semigroup._members`` makes the bitmaps members.  The tables are kept
+    for the last F asked, so calls at one F for several p build them once;
+    the first call at another F frees them.  The cyclic collector is
+    paused while the search runs and the list is built, since a member
+    holds two ints and joins no cycle; cyclic garbage made meanwhile by
+    other threads waits until the call returns.
     """
     if frobenius < 1 or p < 0:
         raise ValueError("need frobenius >= 1 and p >= 0")
@@ -281,7 +301,7 @@ def enumerate_rank(frobenius: int, p: int) -> list[NumericalSemigroup]:
 def _rank_records(frobenius: int, p: int) -> Iterable[tuple[int, list[int]]]:
     # the CLI's records of rank p, each member's bitmap and minimal system,
     # a leaf block at a time as the search finds it: the minimal system is
-    # the block's path and the last generator m.  _leaf_blocks builds its
+    # the block's path and the last generator m.  _leaf_blocks takes its
     # tables at the call, so an F too large to represent fails before any
     # output.  Rank 0 is the ordinary semigroup
     if p == 0:
@@ -293,43 +313,90 @@ def _rank_records(frobenius: int, p: int) -> Iterable[tuple[int, list[int]]]:
     )
 
 
+class _Tables:
+    """The rank search's tables at one F, shared by every p (see the
+    module docstring): ``mult[g]``, the multiples of g in g..F-1 from
+    ``_multiples`` (``mult[0]`` is empty, so the root state (n, d) = (0, 0)
+    lays no progression and gcd(0, n1) = n1); the sieve rows ``rows[r]``
+    of ``_next_rows`` for 1 <= r < len(rows); and the rank >= 3 tails of
+    ``_last_progressions`` per prefix gcd d.
+    """
+
+    def __init__(
+        self,
+        frobenius: int,
+        mult: list[int],
+        rows: list[list[int]],
+        tails: dict[int, tuple[list[int], list[int]]],
+    ) -> None:
+        self.frobenius = frobenius
+        self.mult = mult
+        self.rows = rows
+        self.tails = tails
+
+
+# the tables of the last F asked, replaced whole and never changed in
+# place apart from a new tails entry (see _leaf_blocks)
+_tables: _Tables | None = None
+
+
 def _leaf_blocks(frobenius: int, p: int) -> Iterator[_Block]:
     """The leaf blocks of the rank-p search, p >= 1, in canonical order;
     none when p is infeasible.  See ``_grow`` for a block.
 
-    The tables are built here, before the first block is asked for, so
-    an F too large to represent fails at the call.
+    The tables are taken from the last call when it was at the same F,
+    grown when it asked for a smaller p, and built here otherwise, before
+    the first block is asked for, so an F too large to represent fails at
+    the call and leaves the kept tables as they were.  Only the row of
+    first generators is built for every call.
     """
+    global _tables
     if not feasible_rank(frobenius, p):
         return iter(())
     # the root bitmap comes first: at an F too large to represent it fails
     # at once, before the tables below take F^2 bits
     root = 1 | (1 << (frobenius + 1))
-    # mult[g]: the multiples of g in g..F-1, from _multiples; mult[0] is
-    # empty, so the root state (n, d) = (0, 0) lays no progression and
-    # gcd(0, n1) = n1
-    mult = [0] + [_multiples(g, frobenius) for g in range(1, frobenius)]
-    rows = _next_table(frobenius, p, mult)
+    tables = _tables
+    if tables is None or tables.frobenius != frobenius:
+        mult = [0] + [_multiples(g, frobenius) for g in range(1, frobenius)]
+        tables = _Tables(frobenius, mult, [[]], {})
+    if len(tables.rows) < p:
+        rows = _next_rows(frobenius, tables.mult, tables.rows, p)
+        tables = _Tables(frobenius, tables.mult, rows, tables.tails)
+    _tables = tables
+    rows = tables.rows[:p]
+    rows.append([_first_row(frobenius, rows[-1])])
     # from rank 3 on a few prefix gcds serve every leaf-parent state, so
     # their last progressions are kept; below that each state has its own
-    tails: dict[int, tuple[list[int], list[int]]] | None = {} if p >= 3 else None
-    return _grow(rows, mult, tails, root, p)
+    tails = tables.tails if p >= 3 else None
+    return _grow(rows, tables.mult, tails, root, p)
 
 
-def _next_table(frobenius: int, p: int, mult: list[int]) -> list[list[int]]:
-    """rows[r][d], for 1 <= r < p and 1 <= d < F, is the bitmap of the
-    next generators n' < F a state with prefix gcd d can take when r
+def _bounds(frobenius: int, row: list[int]) -> list[int]:
+    # bound[d]: a state (n, d) with r generators left can be completed iff
+    # n < bound[d], read off row r; with none left (row is the empty
+    # rows[0]) iff d does not divide F
+    if not row:
+        return [frobenius if d and frobenius % d else 0 for d in range(frobenius)]
+    return [nexts.bit_length() - 1 for nexts in row]
+
+
+def _next_rows(
+    frobenius: int, mult: list[int], rows: list[list[int]], p: int
+) -> list[list[int]]:
+    """A new list: ``rows`` followed by the sieve rows up to rows[p - 1].
+
+    rows[r][d], for 1 <= r and 1 <= d < F, is the bitmap of the next
+    generators n' < F a state with prefix gcd d can take when r
     generators remain, n' among them: d does not divide n', and the state
-    (n', gcd(d, n')) can still be completed with r - 1 more.  rows[p][0]
-    is the bitmap of the first generators.  Each row is sieved from the
-    bounds of the row before (see the module docstring).
+    (n', gcd(d, n')) can still be completed with r - 1 more.  rows[0] is
+    empty.  Each row is sieved from the bounds of the row before (see the
+    module docstring), so row r does not depend on p.
     """
     F = frobenius
-    # a state (n, d) with r generators left can be completed iff
-    # n < bound[d]; with none left iff d does not divide F
-    bound = [F if d and F % d else 0 for d in range(F)]
-    rows: list[list[int]] = [[]]
-    for _ in range(p - 1):
+    rows = list(rows)
+    bound = _bounds(F, rows[-1])
+    while len(rows) < p:
         # sieve: each g ORs its multiples below bound[g] into every proper
         # multiple d of g, which keeps exactly the n' below
         # bound[gcd(d, n')] (see the module docstring)
@@ -342,13 +409,20 @@ def _next_table(frobenius: int, p: int, mult: list[int]) -> list[list[int]]:
                     acc[d] |= cut
         row = [a & ~m for a, m in zip(acc, mult)]
         rows.append(row)
-        bound = [nexts.bit_length() - 1 for nexts in row]
-    # the first generators read as one binary numeral, digit d for d = F-1
-    # down to 0: linear in F, where adding F shifted ints is quadratic
-    digits = ["1" if 1 < d < bound[d] else "0" for d in range(F - 1, -1, -1)]
-    first = int("".join(digits), 2)
-    rows.append([first])
+        bound = _bounds(F, row)
     return rows
+
+
+def _first_row(frobenius: int, row: list[int]) -> int:
+    """The bitmap of the first generators of a search with p generators,
+    given row = rows[p - 1]: the n1 > 1 whose state (n1, n1) can be
+    completed with p - 1 more.  It reads no ``mult``.
+    """
+    bound = _bounds(frobenius, row)
+    # one binary numeral, digit d for d = F-1 down to 0: linear in F,
+    # where adding F shifted ints is quadratic
+    digits = ["1" if 1 < d < bound[d] else "0" for d in range(frobenius - 1, -1, -1)]
+    return int("".join(digits), 2)
 
 
 def _grow(
@@ -364,11 +438,14 @@ def _grow(
     A state is (n, d, mask, r, gens): the last generator n and the prefix
     gcd d, the small elements below n in mask, r generators left to place
     and the generators gens placed so far; the root is (0, 0, root, p, ()).
-    The states wait on a stack, the children of a state pushed in
-    descending order so that the least comes off first.  A member's
-    bitmap is built progression by progression as the search descends,
-    each cut from ``mult[d]``, the ``_multiples`` of d below F: below n by
-    a shift down and up, as ``satsets._fill`` cuts it, and below the next
+    The next generators of a state with r left are read from
+    ``rows[r][d]``: the sieve rows for r < p, and at the root
+    ``rows[p] = [the first row]``.  The states wait on a stack, the
+    children of a state pushed in descending order so that the least
+    comes off first.  A member's bitmap is built progression by
+    progression as the search descends, each cut from ``mult[d]``, the
+    ``_multiples`` of d below F: below n by a shift down and up, as
+    ``satsets._fill`` cuts it, and below the next
     generator by a mask.  It must equal ``_fill`` of its minimal system.
 
     A leaf-parent state (r = 1) yields the block ``(base, gens, ms, ts,

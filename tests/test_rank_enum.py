@@ -2,15 +2,20 @@ import gc
 import hashlib
 import json
 import math
+import threading
+import weakref
 from itertools import product
 from pathlib import Path
 
 import pytest
 
+from satsemi import rank_enum
 from satsemi.errors import NotASatSequence
 from satsemi.extremal import tooth
 from satsemi.rank_enum import (
-    _next_table,
+    _first_row,
+    _next_rows,
+    _rank_records,
     coefficient_tuples,
     enumerate_rank,
     feasible_rank,
@@ -240,15 +245,48 @@ def reference_rank_class(frobenius, p):
     return sorted(members, key=lambda S: S.nonzero_small_elements())
 
 
-def test_enumerate_rank_matches_witness_reference():
-    for f in [*range(1, 61), 101, 150]:
+def test_enumerate_rank_matches_witness_reference(monkeypatch):
+    # the class of each rank p >= 1 up to the first empty one, from the
+    # witness reference, or above F = 150 from tables built afresh per p.
+    # The tables are kept for the last F and grown on demand, so the
+    # classes are asked for in three orders: p ascending, p descending
+    # (the largest feasible p builds every row), and two F alternating call
+    # by call (the tables are replaced at every call).  A stale or
+    # half-grown row shows in a list or in a record
+    monkeypatch.setattr(rank_enum, "_tables", None)
+    fs = [*range(1, 61), 101, 150, 199]
+    want = {}
+    for f in fs:
+        want[f] = {}
         p = 1
-        while True:
-            members = enumerate_rank(f, p)
-            assert members == reference_rank_class(f, p), (f, p)
-            if not members:
-                break
+        while p == 1 or want[f][p - 1]:
+            rank_enum._tables = None
+            want[f][p] = (
+                reference_rank_class(f, p) if f <= 150 else enumerate_rank(f, p)
+            )
             p += 1
+    pairs = zip(fs[::2], [*fs[1::2], 1])
+    orders = {
+        "ascending": [(f, p) for f in fs for p in want[f]],
+        "descending": [(f, p) for f in fs for p in reversed(want[f])],
+        "alternating": [
+            (f, p)
+            for a, b in pairs
+            for q in range(1, 1 + max(len(want[a]), len(want[b])))
+            for f, p in ((a, q), (b, q))
+            if p in want[f]
+        ],
+    }
+    for order, calls in orders.items():
+        for f, p in calls:
+            members = enumerate_rank(f, p)
+            assert members == want[f][p], (f, p, order)
+            if order == "ascending" or f > 150:
+                continue  # F = 199 has 112,100 records, five times all those below
+            records = list(_rank_records(f, p))
+            assert [mask for mask, _ in records] == [S._mask for S in members]
+            for S, (_, system) in zip(members, records):
+                assert tuple(system) == minimal_system(S).elements, (f, p)
 
 
 def reference_next_table(frobenius, p, mult):
@@ -279,14 +317,20 @@ def reference_next_table(frobenius, p, mult):
 
 def test_next_table_matches_divisor_reference():
     # a row letting in a generator that cannot complete would only add a
-    # dead branch, which no listed member shows
+    # dead branch, which no listed member shows.  The sieve rows are grown
+    # into a new list, here in two steps, and the first row is built per
+    # p, as _leaf_blocks does
     for f in [*range(1, 61), 101, 150, 199]:
         mult = [0] + [_multiples(g, f) for g in range(1, f)]
+        part = _next_rows(f, mult, [[]], 3)
+        rows = _next_rows(f, mult, part, 6)
+        assert len(part) == 3 and rows[:3] == part, f
         for p in range(1, 7):
-            assert _next_table(f, p, mult) == reference_next_table(f, p, mult), (f, p)
-    # the first row alone, far past the F above; at p = 1 neither reads mult
+            got = [*rows[:p], [_first_row(f, rows[p - 1])]]
+            assert got == reference_next_table(f, p, mult), (f, p)
+    # the first row alone, far past the F above; at p = 1 it reads no mult
     for f in (1024, 1025, 20000):
-        assert _next_table(f, 1, []) == reference_next_table(f, 1, []), f
+        assert [[], [_first_row(f, [])]] == reference_next_table(f, 1, []), f
 
 
 def test_rank_one_at_large_frobenius_is_one_closure_per_non_divisor():
@@ -310,6 +354,60 @@ def test_enumerate_rank_leaves_no_garbage_cycle():
             assert gc.collect() == 0, p
     finally:
         gc.enable()
+
+
+def test_enumerate_rank_keeps_the_tables_of_one_frobenius(monkeypatch):
+    monkeypatch.setattr(rank_enum, "_tables", None)
+    enumerate_rank(101, 3)
+    kept = rank_enum._tables
+    assert kept.frobenius == 101 and len(kept.rows) == 3
+    enumerate_rank(101, 2)
+    assert rank_enum._tables is kept  # enough rows: nothing is rebuilt
+    enumerate_rank(101, 4)
+    grown = rank_enum._tables
+    assert grown.mult is kept.mult and len(kept.rows) == 3 and len(grown.rows) == 4
+    # the root bitmap at F = 10**18 cannot be built, and no table is
+    with pytest.raises(MemoryError):
+        enumerate_rank(10**18, 2)
+    assert rank_enum._tables is grown
+    assert enumerate_rank(101, 3) == reference_rank_class(101, 3)
+    # another F frees the last one's tables
+    gone = weakref.ref(grown)
+    del kept, grown
+    enumerate_rank(60, 2)
+    assert rank_enum._tables.frobenius == 60
+    assert gone() is None
+
+
+def test_enumerate_rank_threads_share_the_tables(monkeypatch):
+    # four threads at one F, each asking for p = 1..5 in its own order,
+    # from no tables: a thread must never read a half-grown row list
+    want = {p: enumerate_rank(150, p) for p in range(1, 6)}
+    monkeypatch.setattr(rank_enum, "_tables", None)
+    orders = [(1, 2, 3, 4, 5), (5, 4, 3, 2, 1), (3, 1, 5, 2, 4), (2, 5, 1, 4, 3)]
+    bad = []
+    barrier = threading.Barrier(len(orders))
+
+    def run(order):
+        barrier.wait()
+        for _ in range(3):
+            for p in order:
+                if enumerate_rank(150, p) != want[p]:
+                    bad.append((order, p))
+
+    enabled = gc.isenabled()
+    threads = [threading.Thread(target=run, args=(o,)) for o in orders]
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join()
+    finally:
+        # concurrent collector pauses may leave it off (each pause restores
+        # only the state it saw)
+        if enabled:
+            gc.enable()
+    assert not bad
 
 
 def pinned_rank_digest(frobenius, max_rank):
