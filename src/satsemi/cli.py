@@ -20,7 +20,8 @@ then each member as a record (mask, sat_msg): the membership bitmap and
 the minimal system, taken where the code that built the member knows it.
 Each family's records come from the module that owns it: enumerate's and
 genus's from ``tree._walk_records``, which reads sat_msg off the walk's
-nodes, whose gcd-drop chains are their minimal systems; rank's from
+nodes, whose gcd-drop chains are their minimal systems (a leaf's is
+derived from its parent's chain); rank's from
 ``rank_enum._rank_records``, off its search path, the generators n1..np
 it placed; maximal's from ``extremal._maximal_records``, which knows it
 is [x] for the member with step x.  ``closure`` asks ``minimal_system``.

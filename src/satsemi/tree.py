@@ -18,7 +18,7 @@ stands for F+1 when p < 2.  A saturated S satisfies s + d_s in S for
 every nonzero member s, d_s the gcd of the members up to s, so the
 members in [n_i, n_{i+1}) are exactly n_i, n_i + d_i, n_i + 2 d_i, ...
 (with n_{p+1} = F+1).  The members past F+1 are read as present.  A
-layer is built in four stages, and no stage loops over the members of a
+layer is built in five stages, and no stage loops over the members of a
 node.
 
 1. Candidates are one mask.  Every saturated semigroup is Arf, so
@@ -76,7 +76,8 @@ node.
    depends on B alone and not on m.  One walk keeps these unions in a
    table keyed by B, read off S as (S >> m) & (proper divisors of m),
    so a node's first link is one AND with a looked-up bitmap, and the
-   loop visits only the x that pass it.
+   loop visits only the x that pass it and does not test that link
+   again.
 
 3. The child's chain comes from the parent's, in the same loop as the
    test.  The running gcd of T is x at x and gcd(x, d_t) at each member
@@ -85,13 +86,49 @@ node.
    give h_i = gcd(x, d_i): the g that stage 2 tests at link i and the
    running gcd of T at n_i.  One pass over the parent's links therefore
    tests n_i + h_i in S and appends (n_i, h_i) to T's links, which
-   start at (x, x), whenever h_i < h_{i-1}.
+   start at (x, x), whenever h_i < h_{i-1}.  The first link passed in
+   stage 2, so the pass takes h_1 = gcd(x, m), appends (m, h_1) when
+   h_1 < x, and starts at the second link; at the root, which has no
+   link, it takes h = x.
+
+   The pass stops at the first link whose d_i divides h_{i-1}.  There
+   h_i = d_i, and n_i + d_i is in S because S is saturated, so the link
+   passes; every later d_j divides d_i, so h_j = d_j, and each later
+   link passes the same way and drops, as d_j < d_{j-1}.  T's links are
+   then those found so far followed by the parent's links from i on, or
+   from i + 1 on when h_{i-1} = d_i and nothing drops at n_i.  The pass
+   runs over the parent's links after the first, closed by (F+1, 1):
+   1 divides every h, so every pass that no test fails ends at a stop.
 
 4. Layers need no sort.  The small elements of a child are its
    multiplicity x followed by those of its parent, so the next layer in
    ascending order of small-element lists is its children grouped by
    ascending x, each group in the order of their parents.  The kernel
    ``_expand`` takes a whole layer and returns the next one so.
+
+5. Leaves build no chain.  A node whose candidate range of stage 2 is
+   empty has no children; call it a leaf.  Whether the child
+   T = S + {x} is a leaf depends on x and m alone, where
+   m/2 <= x < m (m = F+1 at the root).  S has no nonzero member below
+   m, so T has none strictly between x and m, and n_2(T) >= m.  If
+   2x != m, then x, strictly between m/2 and m, does not divide m, so
+   gcd(x, m) < x and n_2(T) = m (at the root, m = F+1 is no link, and
+   n_2(T) = F+1 = m by the convention above).  If 2x = m, the running
+   gcd of T does not drop at m, but still n_2(T) >= m.  So T's range
+   [ceil(x/2), 2x + 1 - n_2(T)) lies inside [ceil(x/2), 2x + 1 - m),
+   which is empty exactly when 2x + 1 - m <= ceil(x/2), that is when
+   2x - m < x/2, or 3x < 2m.  When 3x >= 2m, then 2x > m, so
+   n_2(T) = m and T's range is that whole nonempty interval.  Hence x
+   is a leaf exactly when 3x < 2m: the candidates below ceil(2m/3) are
+   the leaves.  The x with 2x = m are among them, as
+   2x + 1 - m = 1 <= ceil(x/2).
+
+   A leaf is tested as in stages 2 and 3, in the same loop, but where
+   the pass stops it keeps neither its chain nor ``doubles``.  It is
+   stored as (mask, None, parent's chain), and ``_expand`` skips it.
+   Only a record reads its chain: ``_walk_records`` takes x, the least
+   nonzero member, runs stage 3's h over the parent's links, without
+   the tests, and lists x and the n_i at which h drops.
 
 extension_is_saturated is the public reference for stage 2 (tests
 compare the two); it scans the members between m(S) and m(S)+x, and the
@@ -102,7 +139,7 @@ the walk does not call them either.
 
 from __future__ import annotations
 
-from itertools import islice
+from itertools import chain as _itertools_chain, islice
 from math import gcd, isqrt
 from operator import itemgetter
 from typing import Iterable, Iterator
@@ -124,8 +161,9 @@ __all__ = [
 
 # a node's gcd-drop chain: the (n_i, d_i) links of the module docstring
 _Chain = tuple[tuple[int, int], ...]
-# a node: its bitmap, its chain, and the bitmap of the y with 2y a member
-_Node = tuple[int, _Chain, int]
+# a node: its bitmap, its chain, and the bitmap of the y with 2y a member;
+# a leaf (stage 5): its bitmap, None, and its parent's chain
+_Node = tuple[int, _Chain | None, int | _Chain]
 
 
 def __getattr__(name: str):
@@ -250,20 +288,25 @@ class _FirstLink(dict):
 def _expand(frobenius: int, layer: list[_Node], table: _FirstLink) -> list[_Node]:
     """The layer below: the children of every node, grouped by their
     multiplicity x, each group in the order of the parents; see the
-    module docstring for stages 1-4.
+    module docstring for stages 1-5.
 
-    A child's chain is built link by link from its parent's, and its n_i
-    must equal ``semigroup._drops`` of the child's small elements.
+    Leaves are skipped.  A child's chain is built link by link from its
+    parent's, and its n_i must equal ``semigroup._drops`` of the child's
+    small elements; a leaf keeps its parent's chain instead.
     """
     top = frobenius + 1
+    stop = ((top, 1),)  # closes every chain: 1 divides every h (stage 3)
     divs = table.divs
     groups = [[] for _ in range(frobenius)]
     for mask, chain, doubles in layer:
+        if chain is None:
+            continue
         if chain:
-            m = chain[0][0]
+            m = first = chain[0][0]
             hi = 2 * m + 1 - (chain[1][0] if len(chain) > 1 else top)
         else:
-            m, hi = top, frobenius
+            # the root: no first link, and gcd(x, 0) = x
+            m, first, hi = top, 0, frobenius
         lo = (m + 1) // 2
         if hi <= lo:
             continue
@@ -273,23 +316,31 @@ def _expand(frobenius: int, layer: list[_Node], table: _FirstLink) -> list[_Node
         cand = shifted & doubles & ((1 << hi) - (1 << lo))
         if chain:
             cand &= table[shifted & (divs[m] or table.divisors(m))]
+        leaf = (2 * m + 2) // 3  # the x below 2m/3 are leaves (stage 5)
+        rest = chain[1:] + stop
         while cand:
             low = cand & -cand
             cand ^= low
             x = low.bit_length() - 1
-            links = [(x, x)]
-            h = x
-            for n, d in chain:
+            h = gcd(x, first)
+            links = ((x, x), (first, h)) if h < x else ((x, x),)
+            i = 1  # the index of (n, d) in chain
+            for n, d in rest:
                 g = gcd(h, d)
+                if g == d:
+                    if x < leaf:
+                        groups[x].append((mask | low, None, chain))
+                    else:
+                        child_doubles = doubles if x & 1 else doubles | 1 << (x >> 1)
+                        groups[x].append((mask | low, links + chain[i + (g == h) :], child_doubles))
+                    break
                 if not ext >> (n + g) & 1:
                     break
                 if g < h:
-                    links.append((n, g))
+                    links += ((n, g),)
                     h = g
-            else:
-                child_doubles = doubles if x & 1 else doubles | 1 << (x >> 1)
-                groups[x].append((mask | low, tuple(links), child_doubles))
-    return [child for group in groups for child in group]
+                i += 1
+    return list(_itertools_chain.from_iterable(groups))
 
 
 def _root(frobenius: int) -> _Node:
@@ -323,10 +374,24 @@ def _genus_layer(frobenius: int, genus: int) -> list[_Node]:
 def _walk_records(layers: Iterable[list[_Node]]) -> Iterator[tuple[int, list[int]]]:
     # the CLI's records of enumerate and genus: each node's bitmap and its
     # minimal system, the n_i of its gcd-drop chain, which are the members
-    # at which the running gcd drops (semigroup._drops of its small elements)
+    # at which the running gcd drops (semigroup._drops of its small
+    # elements).  A leaf's system is derived here (stage 5): its
+    # multiplicity x, the least nonzero bit of its mask, then the n_i of its
+    # parent's links at which h = gcd(h, d_i) drops, from h = x
     for layer in layers:
-        for mask, chain, _ in layer:
-            yield mask, [n for n, _ in chain]
+        for mask, chain, last in layer:
+            if chain is None:
+                nonzero = mask ^ 1
+                h = (nonzero & -nonzero).bit_length() - 1
+                system = [h]
+                for n, d in last:
+                    g = gcd(h, d)
+                    if g < h:
+                        system.append(n)
+                        h = g
+                yield mask, system
+            else:
+                yield mask, [n for n, _ in chain]
 
 
 def iter_layers(frobenius: int) -> Iterator[list[NumericalSemigroup]]:

@@ -9,11 +9,13 @@ from satsemi.errors import PreconditionViolated, ResidueClassMissing
 from satsemi.extremal import maximal_elements
 from satsemi.rank_enum import enumerate_rank
 from satsemi.satsets import minimal_system
-from satsemi.semigroup import NumericalSemigroup, _multiples, ordinary
+from satsemi.semigroup import NumericalSemigroup, _drops, _multiples, _small_window, ordinary
 from satsemi.tree import (
     _expand,
     _FirstLink,
     _root,
+    _walk,
+    _walk_records,
     chain,
     child_msg,
     enumerate_sat,
@@ -192,6 +194,14 @@ def test_pseudo_frobenius_below_multiplicity_is_a_shift():
             assert shifted == {x for x in S.pseudo_frobenius() if x < m}, S
 
 
+def candidate_range(f, links):
+    # stage 2's [lo, hi) for a node other than the root: its children's x
+    # lie in it
+    m = links[0][0]
+    n2 = links[1][0] if len(links) > 1 else f + 1
+    return (m + 1) // 2, 2 * m + 1 - n2
+
+
 def test_kernel_decides_like_the_reference():
     for f in range(1, 61):
         table = _FirstLink(f)
@@ -200,24 +210,43 @@ def test_kernel_decides_like_the_reference():
             for node in layer:
                 mask, links, doubles = node
                 S = NumericalSemigroup._raw(f, mask)
+                literal_doubles = sum(1 << y for y in range(f) if 2 * y in S)
+                m = S.multiplicity
+                leaf = links is None
+                if leaf:
+                    # a leaf keeps only its parent's chain, from which its
+                    # record is derived; rebuilt as a full node from its
+                    # literal chain and doubles, it must pass every check
+                    # below with no children
+                    links = gcd_drop_chain(S)
+                    assert list(_walk_records([[node]])) == [(mask, [n for n, _ in links])], S
+                    node = mask, links, doubles = mask, links, literal_doubles
                 assert links == gcd_drop_chain(S)
-                assert doubles == sum(1 << y for y in range(f) if 2 * y in S), S
+                assert doubles == literal_doubles, S
+                if links:
+                    # the leaf rule splits off exactly the nodes whose
+                    # candidate range is empty, the root's children included
+                    lo, hi = candidate_range(f, links)
+                    assert (hi <= lo) == leaf, S
                 kept = set()
                 probe = _FirstLink(f)
-                for child, child_links, _ in _expand(f, [node], probe):
+                for child, child_links, child_last in _expand(f, [node], probe):
                     x = (child ^ mask).bit_length() - 1
                     assert child == mask | 1 << x
-                    assert child_links == gcd_drop_chain(NumericalSemigroup._raw(f, child))
+                    if child_links is None:
+                        # a leaf keeps its parent's chain; its record is
+                        # checked when the walk reaches it
+                        assert child_last == links
+                    else:
+                        assert child_links == gcd_drop_chain(NumericalSemigroup._raw(f, child))
                     kept.add(x)
                 if links:
                     # the node looks up the literal B, and the union of its
                     # multiples is the literal first link
-                    m = links[0][0]
                     b = sum(1 << g for g in range(1, m) if m % g == 0 and m + g in S)
                     want = sum(1 << x for x in range(1, m) if m + gcd(x, m) in S)
                     assert set(probe) <= {b}, S
                     assert probe[b] & (1 << m) - 1 == want, S
-                m = S.multiplicity
                 for x in S.special_gaps():
                     if x < m and x != f:
                         want = extension_is_saturated(S, x)
@@ -226,6 +255,14 @@ def test_kernel_decides_like_the_reference():
                         kept.discard(x)
                 assert not kept, S
             layer = _expand(f, layer, table)
+
+
+def test_walk_records_are_the_minimal_systems():
+    # every node's record, a leaf's derived from its parent's links, lists
+    # the members at which its running gcd drops
+    for f in [*range(1, 61), 83, 101, 150]:
+        for mask, system in _walk_records(_walk(f)):
+            assert system == _drops(f, mask & _small_window(f)), (f, mask)
 
 
 def test_multiples_and_divisors_are_literal():
